@@ -6,8 +6,10 @@
 //! Each row times one kernel class swept across every valid target on an
 //! `n`-qubit random state, best of `reps`. Pass `--check RATIO` (e.g.
 //! `--check 1.5`) to exit non-zero when the mean speedup over the dense
-//! path falls below `RATIO` — CI runs this as the "specialization pays for
-//! itself" regression gate.
+//! path falls below `RATIO`, or when any single class is slower than the
+//! dense path (speedup below 1.0x, which would make the classifier route
+//! that operator to a slower kernel) — CI runs this as the
+//! "specialization pays for itself" regression gate.
 //!
 //! Usage: `kernels [--qubits N] [--reps N] [--seed N] [--out PATH] [--check RATIO] [--record] [--quiet]`
 
@@ -205,12 +207,25 @@ fn main() {
     }
 
     if check.is_finite() {
-        // Single-kernel timings jitter on shared CI runners, so the gate
-        // applies to the mean speedup across all classes.
+        // Single-kernel timings jitter on shared CI runners, so the ratio
+        // floor applies to the mean across all classes; each class only
+        // has to beat the dense path it replaces.
+        let slower: Vec<String> = rows
+            .iter()
+            .filter(|row| row.speedup() < 1.0)
+            .map(|row| format!("{} {:.2}x", row.kernel, row.speedup()))
+            .collect();
+        if !slower.is_empty() {
+            eprintln!("FAIL: slower than the dense path: {}", slower.join(", "));
+        }
         if mean_speedup < check {
             eprintln!("FAIL: mean speedup {mean_speedup:.2}x below the {check}x floor");
+        }
+        if !slower.is_empty() || mean_speedup < check {
             std::process::exit(1);
         }
-        println!("mean speedup {mean_speedup:.2}x clears the {check}x floor");
+        println!(
+            "mean speedup {mean_speedup:.2}x clears the {check}x floor; every class beats dense"
+        );
     }
 }

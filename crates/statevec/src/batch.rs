@@ -5,30 +5,37 @@
 //! the scalar kernels per state repays the full setup — operand
 //! validation, mask/stride computation, dispatch, and the strided
 //! enumeration loops — once *per state*, which at small register widths
-//! costs as much as the arithmetic itself. The kernels here hoist all of
-//! that out of the state loop: the operand-index **blocks** are enumerated
-//! once per sweep, and for each block the per-state update runs as a tight
-//! loop over contiguous slices (or zipped slice pairs/quads), so the inner
-//! loops carry no bounds checks and vectorize exactly like the scalar
-//! kernels' inner loops.
+//! costs as much as the arithmetic itself. The kernels here validate once
+//! per sweep and advance the batch op-major: the sparse classes enumerate
+//! each operand-index block once and update it in every state as a loop
+//! over contiguous slices; the classes with a sweep in `crate::simd`
+//! (`phase1`, `diag1`, `perm1`, `dense1`, `diag2`, `perm2`, `ctrl1`,
+//! `dense2`) go through [`sweep_pairs`] / [`sweep_quads`], which sweep one
+//! tile of groups at a time, block by block across every state. The
+//! whole-state applies call the same two functions with a batch of one.
 //!
 //! # Bitwise exactness
 //!
-//! Each kernel's per-amplitude update is the *verbatim arithmetic
-//! expression* of the corresponding scalar kernel in `state.rs` — same
-//! operands, same operation order (Rust does not reassociate or contract
-//! floating-point expressions). Only the iteration order across
-//! independent amplitude groups changes, and no update reads another
-//! group's amplitudes, so every state leaves a batched sweep bit-for-bit
-//! identical to a scalar [`StateVector::apply_fused`](crate::StateVector)
-//! call. The conformance test in `fused.rs` asserts exactly this for
-//! every kernel class, and the tree executor's differential harness
-//! asserts it end-to-end against the sequential executors.
+//! Each kernel's per-amplitude update is the arithmetic of the
+//! corresponding scalar kernel — the same function for the swept classes,
+//! the verbatim expression (same operands, same operation order; Rust does
+//! not reassociate or contract floating-point expressions) for the rest.
+//! Only the iteration order across independent amplitude groups changes,
+//! and no update reads another group's amplitudes, so every state leaves a
+//! batched sweep bit-for-bit identical to a scalar
+//! [`StateVector::apply_fused`](crate::StateVector) call. The conformance
+//! test in `fused.rs` asserts exactly this for every kernel class, and the
+//! tree executor's differential harness asserts it end-to-end against the
+//! sequential executors.
 //!
 //! All states in a batch must share one register width; operands are
 //! validated once against the first state (empty batches are a no-op).
 
-use crate::{Matrix2, Matrix4, StateVecError, StateVector, C64};
+use std::ops::Range;
+
+use crate::simd::{self, PairOp, QuadOp};
+use crate::sweep::{Pairs, Quads, TILE_GROUPS};
+use crate::{StateVecError, StateVector, C64};
 
 /// Every state in a batch must have the same register width as the first.
 fn check_same_width(states: &[StateVector]) -> Result<(), StateVecError> {
@@ -41,107 +48,63 @@ fn check_same_width(states: &[StateVector]) -> Result<(), StateVecError> {
     Ok(())
 }
 
-/// Batched [`StateVector::apply_phase1`].
-pub(crate) fn phase1(
-    states: &mut [StateVector],
-    d1: C64,
-    qubit: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(qubit)?;
-    check_same_width(states)?;
-    let stride = 1usize << qubit;
-    let n = states[0].dim();
-    let mut base = stride;
-    while base < n {
-        for s in &mut *states {
-            for a in &mut s.amps_mut()[base..base + stride] {
-                *a = d1 * *a;
-            }
-        }
-        base += stride << 1;
+/// Both operands of a two-qubit op are in range and distinct.
+fn check_pair(first: &StateVector, a: usize, b: usize) -> Result<(), StateVecError> {
+    first.check_qubit(a)?;
+    first.check_qubit(b)?;
+    if a == b {
+        return Err(StateVecError::DuplicateQubit { qubit: a });
     }
     Ok(())
 }
 
-/// Batched [`StateVector::apply_diag1`].
-pub(crate) fn diag1(
+/// Run `f` over `0..groups` one [`TILE_GROUPS`] tile at a time, each tile
+/// on every state before the next tile starts.
+fn for_each_tile(
     states: &mut [StateVector],
-    d: &[C64; 2],
+    groups: usize,
+    mut f: impl FnMut(&mut [StateVector], Range<usize>),
+) {
+    let mut start = 0;
+    while start < groups {
+        let end = (start + TILE_GROUPS).min(groups);
+        f(states, start..end);
+        start = end;
+    }
+}
+
+/// Batched one-qubit sweep: [`StateVector::apply_phase1`],
+/// [`apply_diag1`](StateVector::apply_diag1),
+/// [`apply_perm1`](StateVector::apply_perm1) or
+/// [`apply_1q`](StateVector::apply_1q), by `op`.
+pub(crate) fn sweep_pairs(
+    states: &mut [StateVector],
+    op: PairOp<'_>,
     qubit: usize,
 ) -> Result<(), StateVecError> {
     let Some(first) = states.first() else { return Ok(()) };
     first.check_qubit(qubit)?;
     check_same_width(states)?;
-    let stride = 1usize << qubit;
-    let (d0, d1) = (d[0], d[1]);
-    let n = states[0].dim();
-    let mut base = 0;
-    let mut block = 0usize;
-    while base < n {
-        let f = if block & 1 == 0 { d0 } else { d1 };
-        for s in &mut *states {
-            for a in &mut s.amps_mut()[base..base + stride] {
-                *a = f * *a;
-            }
-        }
-        base += stride;
-        block += 1;
-    }
+    let (pairs, groups) = (Pairs { qubit }, first.dim() >> 1);
+    simd::apply_pairs(op, pairs, |sweep| for_each_tile(states, groups, sweep));
     Ok(())
 }
 
-/// Batched [`StateVector::apply_perm1`].
-pub(crate) fn perm1(
+/// Batched two-qubit sweep: [`StateVector::apply_diag2`],
+/// [`apply_perm2`](StateVector::apply_perm2),
+/// [`apply_ctrl1`](StateVector::apply_ctrl1) or
+/// [`apply_2q`](StateVector::apply_2q), by `op`.
+pub(crate) fn sweep_quads(
     states: &mut [StateVector],
-    phase: &[C64; 2],
-    qubit: usize,
+    op: QuadOp<'_>,
+    low: usize,
+    high: usize,
 ) -> Result<(), StateVecError> {
     let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(qubit)?;
+    check_pair(first, low, high)?;
     check_same_width(states)?;
-    let stride = 1usize << qubit;
-    let (p0, p1) = (phase[0], phase[1]);
-    let n = states[0].dim();
-    let mut base = 0;
-    while base < n {
-        for s in &mut *states {
-            let (lo, hi) = s.amps_mut()[base..base + (stride << 1)].split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let x = *a;
-                *a = p0 * *b;
-                *b = p1 * x;
-            }
-        }
-        base += stride << 1;
-    }
-    Ok(())
-}
-
-/// Batched [`StateVector::apply_1q`].
-pub(crate) fn dense1(
-    states: &mut [StateVector],
-    m: &Matrix2,
-    qubit: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(qubit)?;
-    check_same_width(states)?;
-    let stride = 1usize << qubit;
-    let [[m00, m01], [m10, m11]] = m.0;
-    let n = states[0].dim();
-    let mut base = 0;
-    while base < n {
-        for s in &mut *states {
-            let (lo, hi) = s.amps_mut()[base..base + (stride << 1)].split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (x, y) = (*a, *b);
-                *a = m00 * x + m01 * y;
-                *b = m10 * x + m11 * y;
-            }
-        }
-        base += stride << 1;
-    }
+    let (quads, groups) = (Quads::new(low, high), first.dim() >> 2);
+    simd::apply_quads(op, quads, |sweep| for_each_tile(states, groups, sweep));
     Ok(())
 }
 
@@ -153,11 +116,7 @@ pub(crate) fn cphase2(
     qubit_b: usize,
 ) -> Result<(), StateVecError> {
     let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(qubit_a)?;
-    first.check_qubit(qubit_b)?;
-    if qubit_a == qubit_b {
-        return Err(StateVecError::DuplicateQubit { qubit: qubit_a });
-    }
+    check_pair(first, qubit_a, qubit_b)?;
     check_same_width(states)?;
     let offset = (1usize << qubit_a) | (1usize << qubit_b);
     let (small, large) = if qubit_a < qubit_b { (qubit_a, qubit_b) } else { (qubit_b, qubit_a) };
@@ -192,11 +151,7 @@ pub(crate) fn cdiag1(
     target: usize,
 ) -> Result<(), StateVecError> {
     let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(control)?;
-    first.check_qubit(target)?;
-    if control == target {
-        return Err(StateVecError::DuplicateQubit { qubit: control });
-    }
+    check_pair(first, control, target)?;
     check_same_width(states)?;
     let cmask = 1usize << control;
     let tmask = 1usize << target;
@@ -227,48 +182,6 @@ pub(crate) fn cdiag1(
     Ok(())
 }
 
-/// Batched [`StateVector::apply_diag2`].
-pub(crate) fn diag2(
-    states: &mut [StateVector],
-    d: &[C64; 4],
-    low: usize,
-    high: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(low)?;
-    first.check_qubit(high)?;
-    if low == high {
-        return Err(StateVecError::DuplicateQubit { qubit: low });
-    }
-    check_same_width(states)?;
-    let mask_low = 1usize << low;
-    let mask_high = 1usize << high;
-    let (small, large) = if low < high { (low, high) } else { (high, low) };
-    let small_stride = 1usize << small;
-    let large_stride = 1usize << large;
-    let n = states[0].dim();
-    // Each local value (2·bit(high) + bit(low)) owns one contiguous run
-    // per enumeration block; the diagonal factor is constant on the run.
-    let runs = [(0usize, d[0]), (mask_low, d[1]), (mask_high, d[2]), (mask_low | mask_high, d[3])];
-    let mut outer = 0;
-    while outer < n {
-        let mut mid = outer;
-        while mid < outer + large_stride {
-            for s in &mut *states {
-                let amps = s.amps_mut();
-                for (off, f) in runs {
-                    for a in &mut amps[mid + off..mid + off + small_stride] {
-                        *a = f * *a;
-                    }
-                }
-            }
-            mid += small_stride << 1;
-        }
-        outer += large_stride << 1;
-    }
-    Ok(())
-}
-
 /// Batched [`StateVector::apply_cx`].
 pub(crate) fn cx(
     states: &mut [StateVector],
@@ -276,11 +189,7 @@ pub(crate) fn cx(
     target: usize,
 ) -> Result<(), StateVecError> {
     let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(control)?;
-    first.check_qubit(target)?;
-    if control == target {
-        return Err(StateVecError::DuplicateQubit { qubit: control });
-    }
+    check_pair(first, control, target)?;
     check_same_width(states)?;
     let cmask = 1usize << control;
     let tmask = 1usize << target;
@@ -298,146 +207,6 @@ pub(crate) fn cx(
                     s.amps_mut()[start..start + tmask + small_stride].split_at_mut(tmask);
                 for (a, b) in left[..small_stride].iter_mut().zip(right.iter_mut()) {
                     std::mem::swap(a, b);
-                }
-            }
-            mid += small_stride << 1;
-        }
-        outer += large_stride << 1;
-    }
-    Ok(())
-}
-
-/// Batched [`StateVector::apply_ctrl1`].
-pub(crate) fn ctrl1(
-    states: &mut [StateVector],
-    u: &Matrix2,
-    control: usize,
-    target: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(control)?;
-    first.check_qubit(target)?;
-    if control == target {
-        return Err(StateVecError::DuplicateQubit { qubit: control });
-    }
-    check_same_width(states)?;
-    let cmask = 1usize << control;
-    let tmask = 1usize << target;
-    let [[u00, u01], [u10, u11]] = u.0;
-    let (small, large) = if control < target { (control, target) } else { (target, control) };
-    let small_stride = 1usize << small;
-    let large_stride = 1usize << large;
-    let n = states[0].dim();
-    let mut outer = 0;
-    while outer < n {
-        let mut mid = outer;
-        while mid < outer + large_stride {
-            let start = mid + cmask;
-            for s in &mut *states {
-                let (left, right) =
-                    s.amps_mut()[start..start + tmask + small_stride].split_at_mut(tmask);
-                for (a, b) in left[..small_stride].iter_mut().zip(right.iter_mut()) {
-                    let x = *a;
-                    let y = *b;
-                    *a = u00 * x + u01 * y;
-                    *b = u10 * x + u11 * y;
-                }
-            }
-            mid += small_stride << 1;
-        }
-        outer += large_stride << 1;
-    }
-    Ok(())
-}
-
-/// Batched [`StateVector::apply_perm2`].
-pub(crate) fn perm2(
-    states: &mut [StateVector],
-    src: &[u8; 4],
-    phase: &[C64; 4],
-    low: usize,
-    high: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(low)?;
-    first.check_qubit(high)?;
-    if low == high {
-        return Err(StateVecError::DuplicateQubit { qubit: low });
-    }
-    check_same_width(states)?;
-    debug_assert!(src.iter().all(|&s| s < 4));
-    let (small, large) = if low < high { (low, high) } else { (high, low) };
-    let small_stride = 1usize << small;
-    let large_stride = 1usize << large;
-    let low_is_small = low < high;
-    let n = states[0].dim();
-    let mut outer = 0;
-    while outer < n {
-        let mut mid = outer;
-        while mid < outer + large_stride {
-            for s in &mut *states {
-                let quad = &mut s.amps_mut()[mid..mid + large_stride + 2 * small_stride];
-                let (head, tail) = quad.split_at_mut(large_stride);
-                let (s_base, head_rest) = head.split_at_mut(small_stride);
-                let s_small = &mut head_rest[..small_stride];
-                let (s_large, s_both) = tail.split_at_mut(small_stride);
-                let (s01, s10) = if low_is_small { (s_small, s_large) } else { (s_large, s_small) };
-                for (((p00, p01), p10), p11) in
-                    s_base.iter_mut().zip(s01).zip(s10).zip(s_both.iter_mut())
-                {
-                    let old = [*p00, *p01, *p10, *p11];
-                    *p00 = phase[0] * old[src[0] as usize];
-                    *p01 = phase[1] * old[src[1] as usize];
-                    *p10 = phase[2] * old[src[2] as usize];
-                    *p11 = phase[3] * old[src[3] as usize];
-                }
-            }
-            mid += small_stride << 1;
-        }
-        outer += large_stride << 1;
-    }
-    Ok(())
-}
-
-/// Batched [`StateVector::apply_2q`].
-pub(crate) fn dense2(
-    states: &mut [StateVector],
-    m: &Matrix4,
-    low: usize,
-    high: usize,
-) -> Result<(), StateVecError> {
-    let Some(first) = states.first() else { return Ok(()) };
-    first.check_qubit(low)?;
-    first.check_qubit(high)?;
-    if low == high {
-        return Err(StateVecError::DuplicateQubit { qubit: low });
-    }
-    check_same_width(states)?;
-    let (small, large) = if low < high { (low, high) } else { (high, low) };
-    let small_stride = 1usize << small;
-    let large_stride = 1usize << large;
-    let low_is_small = low < high;
-    let n = states[0].dim();
-    let r = &m.0;
-    let mut outer = 0;
-    while outer < n {
-        let mut mid = outer;
-        while mid < outer + large_stride {
-            for s in &mut *states {
-                let quad = &mut s.amps_mut()[mid..mid + large_stride + 2 * small_stride];
-                let (head, tail) = quad.split_at_mut(large_stride);
-                let (s_base, head_rest) = head.split_at_mut(small_stride);
-                let s_small = &mut head_rest[..small_stride];
-                let (s_large, s_both) = tail.split_at_mut(small_stride);
-                let (s01, s10) = if low_is_small { (s_small, s_large) } else { (s_large, s_small) };
-                for (((p00, p01), p10), p11) in
-                    s_base.iter_mut().zip(s01).zip(s10).zip(s_both.iter_mut())
-                {
-                    let (a0, a1, a2, a3) = (*p00, *p01, *p10, *p11);
-                    *p00 = r[0][0] * a0 + r[0][1] * a1 + r[0][2] * a2 + r[0][3] * a3;
-                    *p01 = r[1][0] * a0 + r[1][1] * a1 + r[1][2] * a2 + r[1][3] * a3;
-                    *p10 = r[2][0] * a0 + r[2][1] * a1 + r[2][2] * a2 + r[2][3] * a3;
-                    *p11 = r[3][0] * a0 + r[3][1] * a1 + r[3][2] * a2 + r[3][3] * a3;
                 }
             }
             mid += small_stride << 1;

@@ -24,6 +24,8 @@
 //! * **Dense** ([`StateVector::apply_1q`] / `apply_2q`) — full
 //!   matrix-vector update.
 
+use crate::batch;
+use crate::simd::{PairOp, QuadOp};
 use crate::{Matrix2, Matrix4, StateVecError, StateVector, C64};
 
 /// A fused operator bound to its qubits, tagged with its kernel class.
@@ -323,8 +325,8 @@ impl FusedOp {
     /// over the batch — amortizing dispatch, mask/stride setup, and the
     /// strided enumeration over every state while the per-state float
     /// sequence stays bitwise-identical to [`StateVector::apply_fused`]
-    /// (the batched kernels repeat the scalar kernels' arithmetic
-    /// expressions verbatim).
+    /// (the swept classes run the same functions as the whole-state
+    /// applies; the others repeat their arithmetic expressions verbatim).
     ///
     /// # Errors
     ///
@@ -333,25 +335,29 @@ impl FusedOp {
     /// amplitudes. Empty batches are a no-op.
     pub fn apply_batch(&self, states: &mut [StateVector]) -> Result<(), StateVecError> {
         match self {
-            FusedOp::Phase1 { d1, qubit } => crate::batch::phase1(states, *d1, *qubit),
-            FusedOp::Diag1 { d, qubit } => crate::batch::diag1(states, d, *qubit),
-            FusedOp::Perm1 { phase, qubit } => crate::batch::perm1(states, phase, *qubit),
-            FusedOp::Dense1 { m, qubit } => crate::batch::dense1(states, m, *qubit),
-            FusedOp::CPhase2 { p, low, high } => crate::batch::cphase2(states, *p, *low, *high),
-            FusedOp::CDiag1 { d, control, target } => {
-                crate::batch::cdiag1(states, d, *control, *target)
+            FusedOp::Phase1 { d1, qubit } => batch::sweep_pairs(states, PairOp::Phase(*d1), *qubit),
+            FusedOp::Diag1 { d, qubit } => batch::sweep_pairs(states, PairOp::Diag(d), *qubit),
+            FusedOp::Perm1 { phase, qubit } => {
+                batch::sweep_pairs(states, PairOp::Perm(phase), *qubit)
             }
-            FusedOp::Diag2 { d, low, high } => crate::batch::diag2(states, d, *low, *high),
-            FusedOp::Cx { control, target } => crate::batch::cx(states, *control, *target),
+            FusedOp::Dense1 { m, qubit } => batch::sweep_pairs(states, PairOp::Dense(m), *qubit),
+            FusedOp::CPhase2 { p, low, high } => batch::cphase2(states, *p, *low, *high),
+            FusedOp::CDiag1 { d, control, target } => batch::cdiag1(states, d, *control, *target),
+            FusedOp::Diag2 { d, low, high } => {
+                batch::sweep_quads(states, QuadOp::Diag(d), *low, *high)
+            }
+            FusedOp::Cx { control, target } => batch::cx(states, *control, *target),
             FusedOp::Ctrl1 { u, control, target } => {
-                crate::batch::ctrl1(states, u, *control, *target)
+                batch::sweep_quads(states, QuadOp::Ctrl1(u), *target, *control)
             }
             FusedOp::Perm2 { src, phase, low, high } => {
-                crate::batch::perm2(states, src, phase, *low, *high)
+                batch::sweep_quads(states, QuadOp::Perm(src, phase), *low, *high)
             }
-            FusedOp::Dense2 { m, low, high } => crate::batch::dense2(states, m, *low, *high),
+            FusedOp::Dense2 { m, low, high } => {
+                batch::sweep_quads(states, QuadOp::Dense(m), *low, *high)
+            }
             FusedOp::Ccx { control_a, control_b, target } => {
-                crate::batch::ccx(states, *control_a, *control_b, *target)
+                batch::ccx(states, *control_a, *control_b, *target)
             }
         }
     }

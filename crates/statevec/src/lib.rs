@@ -43,9 +43,11 @@ mod measure;
 mod observable;
 mod pauli;
 mod pool;
+mod simd;
 pub mod snapshot;
 mod state;
 mod stored;
+mod sweep;
 
 pub use buffer::{AmpBuf, AMP_ALIGN};
 pub use density::DensityMatrix;

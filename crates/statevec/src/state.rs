@@ -1,16 +1,13 @@
 use std::fmt;
 
+use crate::batch;
 use crate::buffer::AmpBuf;
+use crate::simd::{PairOp, QuadOp};
 use crate::{Matrix2, Matrix4, Pauli, StateVecError, C64};
 
 /// Maximum register width supported by the dense simulator (2^30 amplitudes
 /// is 16 GiB of `Complex64`; anything larger is rejected up front).
 pub(crate) const MAX_QUBITS: usize = 30;
-
-/// Pairs per tile in the cache-blocked dense sweeps: 8 KiB per stream, so
-/// a tile of each stream stays L1-resident even when the pair stride spans
-/// megabytes on high-qubit registers.
-const DENSE_TILE: usize = 512;
 
 /// A dense `2^n`-amplitude pure quantum state.
 ///
@@ -196,27 +193,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_1q(&mut self, m: &Matrix2, qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let [[m00, m01], [m10, m11]] = m.0;
-        // Cache-blocked sweep: each pair block is two disjoint contiguous
-        // streams, walked tile-by-tile so one tile of each stream stays
-        // L1-resident even when `stride` spans megabytes; the disjoint
-        // slices drop the bounds checks the indexed loop would pay.
-        let n = self.amps.len();
-        let mut base = 0;
-        while base < n {
-            let (lo, hi) = self.amps[base..base + (stride << 1)].split_at_mut(stride);
-            for (lo_tile, hi_tile) in lo.chunks_mut(DENSE_TILE).zip(hi.chunks_mut(DENSE_TILE)) {
-                for (a, b) in lo_tile.iter_mut().zip(hi_tile.iter_mut()) {
-                    let (x, y) = (*a, *b);
-                    *a = m00 * x + m01 * y;
-                    *b = m10 * x + m11 * y;
-                }
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.sweep_pairs(PairOp::Dense(m), qubit)
     }
 
     /// Apply a two-qubit unitary; `low` indexes the low local bit and `high`
@@ -228,50 +205,7 @@ impl StateVector {
     /// Returns [`StateVecError::QubitOutOfRange`] or
     /// [`StateVecError::DuplicateQubit`].
     pub fn apply_2q(&mut self, m: &Matrix4, low: usize, high: usize) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        let (small, large) = if low < high { (low, high) } else { (high, low) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        // Which of the four contiguous streams carries the low local bit:
-        // when `low < high` the small stride is the low bit, so stream
-        // order (00, 01, 10, 11) matches (base, +small, +large, +both);
-        // otherwise streams 01 and 10 swap places.
-        let low_is_small = low < high;
-        let n = self.amps.len();
-        let r = &m.0;
-
-        // Enumerate every index with both operand bits clear, processing
-        // each run of `small_stride` groups as four parallel contiguous
-        // streams (cache-blocked: all four legs advance linearly, and the
-        // disjoint slices let the compiler drop bounds checks).
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                let quad = &mut self.amps[mid..mid + large_stride + 2 * small_stride];
-                let (head, tail) = quad.split_at_mut(large_stride);
-                let (s_base, head_rest) = head.split_at_mut(small_stride);
-                let s_small = &mut head_rest[..small_stride];
-                let (s_large, s_both) = tail.split_at_mut(small_stride);
-                let (s01, s10) = if low_is_small { (s_small, s_large) } else { (s_large, s_small) };
-                for (((p00, p01), p10), p11) in
-                    s_base.iter_mut().zip(s01).zip(s10).zip(s_both.iter_mut())
-                {
-                    let (a0, a1, a2, a3) = (*p00, *p01, *p10, *p11);
-                    *p00 = r[0][0] * a0 + r[0][1] * a1 + r[0][2] * a2 + r[0][3] * a3;
-                    *p01 = r[1][0] * a0 + r[1][1] * a1 + r[1][2] * a2 + r[1][3] * a3;
-                    *p10 = r[2][0] * a0 + r[2][1] * a1 + r[2][2] * a2 + r[2][3] * a3;
-                    *p11 = r[3][0] * a0 + r[3][1] * a1 + r[3][2] * a2 + r[3][3] * a3;
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.sweep_quads(QuadOp::Dense(m), low, high)
     }
 
     /// Multiply each amplitude by the matching entry of a diagonal one-qubit
@@ -282,21 +216,13 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_diag1(&mut self, d: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let (d0, d1) = (d[0], d[1]);
-        for (block, chunk) in self.amps.chunks_exact_mut(stride).enumerate() {
-            let f = if block & 1 == 0 { d0 } else { d1 };
-            for a in chunk {
-                *a = f * *a;
-            }
-        }
-        Ok(())
+        self.sweep_pairs(PairOp::Diag(d), qubit)
     }
 
     /// Multiply each amplitude by the matching entry of a diagonal two-qubit
     /// operator on `(low, high)` (local index `2·bit(high) + bit(low)`, as
-    /// in [`Matrix4`]). A single linear sweep.
+    /// in [`Matrix4`]), as four contiguous streams with a constant factor
+    /// each.
     ///
     /// # Errors
     ///
@@ -308,16 +234,7 @@ impl StateVector {
         low: usize,
         high: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let local = (((i >> high) & 1) << 1) | ((i >> low) & 1);
-            *a = d[local] * *a;
-        }
-        Ok(())
+        self.sweep_quads(QuadOp::Diag(d), low, high)
     }
 
     /// Multiply the amplitudes whose `qubit` bit is **set** by `d1` — the
@@ -329,17 +246,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_phase1(&mut self, d1: C64, qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let n = self.amps.len();
-        let mut base = stride;
-        while base < n {
-            for a in self.amps[base..base + stride].iter_mut() {
-                *a = d1 * *a;
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.sweep_pairs(PairOp::Phase(d1), qubit)
     }
 
     /// Apply a phased one-qubit permutation (an anti-diagonal 2×2): for
@@ -351,21 +258,7 @@ impl StateVector {
     ///
     /// Returns [`StateVecError::QubitOutOfRange`] for an invalid qubit.
     pub fn apply_perm1(&mut self, phase: &[C64; 2], qubit: usize) -> Result<(), StateVecError> {
-        self.check_qubit(qubit)?;
-        let stride = 1usize << qubit;
-        let (p0, p1) = (phase[0], phase[1]);
-        let n = self.amps.len();
-        let mut base = 0;
-        while base < n {
-            let (lo, hi) = self.amps[base..base + (stride << 1)].split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let x = *a;
-                *a = p0 * *b;
-                *b = p1 * x;
-            }
-            base += stride << 1;
-        }
-        Ok(())
+        self.sweep_pairs(PairOp::Perm(phase), qubit)
     }
 
     /// Apply a controlled phase `diag(1, 1, 1, p)` on the (symmetric) pair
@@ -469,37 +362,7 @@ impl StateVector {
         control: usize,
         target: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(StateVecError::DuplicateQubit { qubit: control });
-        }
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        let [[u00, u01], [u10, u11]] = u.0;
-        let (small, large) = if control < target { (control, target) } else { (target, control) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        // Same enumeration as the CX fast path, with a 2×2 multiply in
-        // place of the swap.
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let ia = i | cmask;
-                    let ib = ia | tmask;
-                    let x = self.amps[ia];
-                    let y = self.amps[ib];
-                    self.amps[ia] = u00 * x + u01 * y;
-                    self.amps[ib] = u10 * x + u11 * y;
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.sweep_quads(QuadOp::Ctrl1(u), target, control)
     }
 
     /// Apply a two-qubit phased permutation on `(low, high)`: for each group
@@ -518,39 +381,7 @@ impl StateVector {
         low: usize,
         high: usize,
     ) -> Result<(), StateVecError> {
-        self.check_qubit(low)?;
-        self.check_qubit(high)?;
-        if low == high {
-            return Err(StateVecError::DuplicateQubit { qubit: low });
-        }
-        debug_assert!(src.iter().all(|&s| s < 4));
-        let mask_low = 1usize << low;
-        let mask_high = 1usize << high;
-        let (small, large) = if low < high { (low, high) } else { (high, low) };
-        let small_stride = 1usize << small;
-        let large_stride = 1usize << large;
-        let n = self.amps.len();
-        let mut outer = 0;
-        while outer < n {
-            let mut mid = outer;
-            while mid < outer + large_stride {
-                for i in mid..mid + small_stride {
-                    let idx = [i, i | mask_low, i | mask_high, i | mask_low | mask_high];
-                    let old = [
-                        self.amps[idx[0]],
-                        self.amps[idx[1]],
-                        self.amps[idx[2]],
-                        self.amps[idx[3]],
-                    ];
-                    for r in 0..4 {
-                        self.amps[idx[r]] = phase[r] * old[src[r] as usize];
-                    }
-                }
-                mid += small_stride << 1;
-            }
-            outer += large_stride << 1;
-        }
-        Ok(())
+        self.sweep_quads(QuadOp::Perm(src, phase), low, high)
     }
 
     /// Apply a Pauli error operator via a permutation/sign fast path. Counted
@@ -682,6 +513,23 @@ impl StateVector {
             outer += s2 << 1;
         }
         Ok(())
+    }
+
+    /// Apply a one-qubit sweep class to every amplitude pair of `qubit`:
+    /// the batched sweep over a batch of one.
+    fn sweep_pairs(&mut self, op: PairOp<'_>, qubit: usize) -> Result<(), StateVecError> {
+        batch::sweep_pairs(std::slice::from_mut(self), op, qubit)
+    }
+
+    /// Apply a two-qubit sweep class to every amplitude quad of
+    /// `(low, high)`: the batched sweep over a batch of one.
+    fn sweep_quads(
+        &mut self,
+        op: QuadOp<'_>,
+        low: usize,
+        high: usize,
+    ) -> Result<(), StateVecError> {
+        batch::sweep_quads(std::slice::from_mut(self), op, low, high)
     }
 
     /// Tear down into the raw amplitude buffer (for [`crate::StatePool`]).

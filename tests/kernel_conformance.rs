@@ -5,8 +5,10 @@
 //! the generic kernels themselves against a naive textbook loop — on
 //! randomized fully-entangled states, across edge placements: lowest and
 //! highest qubit, adjacent and non-adjacent pairs, control above and below
-//! the target. Amplitude deviation must stay within `1e-12`; measurement
-//! outcomes through the full executor stack must be bitwise identical.
+//! the target. The dense kernels must match their reference loops bit for
+//! bit (`to_bits`, so signed zeros count); specialized paths must stay
+//! within `1e-12` of the dense apply; measurement outcomes through the full
+//! executor stack must be bitwise identical.
 
 use noisy_qsim::redsim::compressed::run_reordered_compressed;
 use noisy_qsim::redsim::exec::{BaselineExecutor, ReuseExecutor};
@@ -40,23 +42,27 @@ fn naive_1q(amps: &[C64], m: &Matrix2, qubit: usize) -> Vec<C64> {
 }
 
 /// Textbook indexed-loop reference for a two-qubit apply over local index
-/// `2·bit(high) + bit(low)`.
+/// `2·bit(high) + bit(low)`, in the kernel's expression order: each row is
+/// `((p0 + p1) + p2) + p3` with `p_c = m[r][c]·old[c]`.
 fn naive_2q(amps: &[C64], m: &Matrix4, low: usize, high: usize) -> Vec<C64> {
     let mut out = amps.to_vec();
     let (ml, mh) = (1usize << low, 1usize << high);
+    let r = &m.0;
     for i in 0..amps.len() {
         if i & ml == 0 && i & mh == 0 {
             let idx = [i, i | ml, i | mh, i | ml | mh];
-            for r in 0..4 {
-                let mut acc = C64::new(0.0, 0.0);
-                for (c, &source) in idx.iter().enumerate() {
-                    acc += m.0[r][c] * amps[source];
-                }
-                out[idx[r]] = acc;
+            let [a0, a1, a2, a3] = idx.map(|k| amps[k]);
+            for row in 0..4 {
+                out[idx[row]] = r[row][0] * a0 + r[row][1] * a1 + r[row][2] * a2 + r[row][3] * a3;
             }
         }
     }
     out
+}
+
+/// Each amplitude's `(re, im)` bit patterns.
+fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+    amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
 }
 
 fn edge_states(n: usize) -> Vec<(String, StateVector)> {
@@ -78,8 +84,8 @@ fn edge_states(n: usize) -> Vec<(String, StateVector)> {
 
 #[test]
 fn blocked_dense_1q_sweep_is_bitwise_identical_to_naive_loop() {
-    // n = 12 with a high target pushes the stride past the 512-pair tile,
-    // exercising the cache-blocked path; small n exercise the short path.
+    // Qubits 0 and 1 take the AVX low-target paths; n = 12 with a high
+    // target gives runs longer than a batched tile.
     for (n, qubits) in
         [(1usize, vec![0usize]), (2, vec![0, 1]), (3, vec![0, 1, 2]), (12, vec![0, 5, 10, 11])]
     {
@@ -91,10 +97,10 @@ fn blocked_dense_1q_sweep_is_bitwise_identical_to_naive_loop() {
                 let mut swept = state.clone();
                 swept.apply_1q(&m, q).expect("valid qubit");
                 // Same multiply-add expressions in the same order: the
-                // blocked sweep must agree bit for bit, not just closely.
+                // sweep must agree bit for bit, not just closely.
                 assert_eq!(
-                    swept.amplitudes(),
-                    &reference[..],
+                    bits(swept.amplitudes()),
+                    bits(&reference),
                     "n={n} q={q} {label}: blocked sweep drifted from the naive loop"
                 );
             }
@@ -104,28 +110,30 @@ fn blocked_dense_1q_sweep_is_bitwise_identical_to_naive_loop() {
 
 #[test]
 fn dense_2q_kernel_matches_naive_loop() {
-    for (n, pairs) in [
-        (2usize, vec![(0usize, 1usize)]),
-        (3, vec![(0, 1), (0, 2), (1, 2)]),
-        (6, vec![(0, 1), (0, 5), (2, 3), (1, 4)]),
-    ] {
+    // Every ordered pair — both operand orders, qubit 0 and the top qubit
+    // included — so every AVX path (transposed qubit-0 quads, one-quad-
+    // per-lane runs, two-quads-per-vector streams) meets the reference.
+    for n in 2..=9usize {
         let mut rng = XorShift64::new(17 + n as u64);
-        for &(low, high) in &pairs {
-            let m = Matrix4::kron(
-                &Matrix2::u(6.3 * rng.next_f64(), 6.3 * rng.next_f64(), 6.3 * rng.next_f64()),
-                &Matrix2::u(6.3 * rng.next_f64(), 6.3 * rng.next_f64(), 6.3 * rng.next_f64()),
-            );
-            for (label, state) in edge_states(n) {
-                let reference = naive_2q(state.amplitudes(), &m, low, high);
-                let mut applied = state.clone();
-                applied.apply_2q(&m, low, high).expect("valid pair");
-                let dev = applied
-                    .amplitudes()
-                    .iter()
-                    .zip(&reference)
-                    .map(|(x, y)| (x - y).norm())
-                    .fold(0.0, f64::max);
-                assert!(dev <= TOL, "n={n} ({low},{high}) {label}: deviation {dev:e}");
+        for low in 0..n {
+            for high in (0..n).filter(|&h| h != low) {
+                let mut m = Matrix4::kron(
+                    &Matrix2::u(6.3 * rng.next_f64(), 6.3 * rng.next_f64(), 6.3 * rng.next_f64()),
+                    &Matrix2::u(6.3 * rng.next_f64(), 6.3 * rng.next_f64(), 6.3 * rng.next_f64()),
+                );
+                // No structural zeros, so every product reaches the sum.
+                m.0[0][3] += C64::new(rng.next_f64(), -rng.next_f64());
+                m.0[3][0] += C64::new(-rng.next_f64(), rng.next_f64());
+                for (label, state) in edge_states(n) {
+                    let reference = naive_2q(state.amplitudes(), &m, low, high);
+                    let mut applied = state.clone();
+                    applied.apply_2q(&m, low, high).expect("valid pair");
+                    assert_eq!(
+                        bits(applied.amplitudes()),
+                        bits(&reference),
+                        "n={n} ({low},{high}) {label}: dense kernel drifted from the reference"
+                    );
+                }
             }
         }
     }
