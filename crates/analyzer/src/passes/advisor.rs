@@ -292,10 +292,10 @@ impl Counts {
 
 /// Symbolically replay the streaming reuse loop over `order` (entries
 /// failing `include` are skipped, as are out-of-range indices) and return
-/// its exact `ExecStats` counts. This mirrors `run_streaming_engine`
-/// frame-for-frame: a stack of `(depth, done)` pairs with in-place
-/// advances, clone-at-frontier below the shared depth, consume-top beyond
-/// it, and eager drops back to `keep`.
+/// its exact `ExecStats` counts. This mirrors the reuse walk
+/// (`ReuseExecutor::walk` in `redsim::exec`) frame-for-frame: a stack of
+/// `(depth, done)` pairs with in-place advances, clone-at-frontier below
+/// the shared depth, consume-top beyond it, and eager drops back to `keep`.
 fn predict_stream(
     prefix: &PassPrefix,
     trials: &[Trial],

@@ -372,7 +372,7 @@ fn advise(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(),
 /// The strategy name the flag combination selects; recorded in the trace
 /// meta header so offline analysis knows what it is looking at.
 fn strategy_name(opts: &Options) -> &'static str {
-    if opts.cache.is_some() && !opts.baseline && !opts.compressed {
+    if opts.cache.is_some() {
         "reuse-cached"
     } else if wants_tree(opts) {
         "tree"
@@ -447,35 +447,41 @@ fn finalize_live(
     }
 }
 
+/// Reject a flag combination that no executor honours. The first flag set
+/// (in the order below) selects the executor; every other flag must be one
+/// that executor takes, or it would be silently dropped.
+fn check_strategy_flags(opts: &Options) -> Result<(), CliError> {
+    let reuse = ["--strategy reuse"].as_slice();
+    let selectors = [
+        ("--strategy tree", wants_tree(opts), "runs the batched tree executor", [].as_slice()),
+        ("--cache", opts.cache.is_some(), "applies to the default reordered strategy", reuse),
+        ("--baseline", opts.baseline, "runs the baseline executor", &["--threads"]),
+        ("--compressed", opts.compressed, "runs the compressed reuse executor", &[]),
+        ("--budget", opts.budget != usize::MAX, "caps the reordered run's stored states", reuse),
+        ("--threads", opts.threads != 1, "splits the reordered run across workers", reuse),
+        ("--strategy reuse", opts.strategy.as_deref() == Some("reuse"), "runs reuse", &[]),
+    ];
+    let mut set = selectors.iter().filter(|(_, on, _, _)| *on);
+    let Some((flag, _, effect, honoured)) = set.next() else { return Ok(()) };
+    let dropped: Vec<&str> =
+        set.map(|(other, ..)| *other).filter(|other| !honoured.contains(other)).collect();
+    if dropped.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError(format!("{flag} {effect}; drop {}", dropped.join("/"))))
+    }
+}
+
 /// Execute the strategy selected by the flags under `recorder`. Shared by
 /// `run` (NullRecorder or a `--trace` sink) and `profile` (aggregating,
-/// possibly teed into a trace).
+/// possibly teed into a trace); [`check_strategy_flags`] has already
+/// ruled out every combination this dispatch would drop a flag of.
 fn run_strategy<R: Recorder + ?Sized>(
     sim: &Simulation,
     opts: &Options,
     recorder: &R,
 ) -> Result<RunResult, CliError> {
-    if wants_tree(opts)
-        && (opts.baseline
-            || opts.compressed
-            || opts.budget != usize::MAX
-            || opts.threads != 1
-            || opts.cache.is_some())
-    {
-        return Err(CliError(
-            "--strategy tree runs the batched tree executor; \
-             drop --baseline/--compressed/--budget/--threads/--cache"
-                .to_owned(),
-        ));
-    }
     if let Some(dir) = &opts.cache {
-        if opts.baseline || opts.compressed || opts.budget != usize::MAX || opts.threads != 1 {
-            return Err(CliError(
-                "--cache applies to the default reordered strategy; \
-                 drop --baseline/--compressed/--budget/--threads"
-                    .to_owned(),
-            ));
-        }
         let store = open_store(dir, opts.cache_budget)?;
         return sim
             .run_reordered_cached_traced(&store, recorder)
@@ -522,6 +528,7 @@ fn run_strategy<R: Recorder + ?Sized>(
 }
 
 fn run(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    check_strategy_flags(opts)?;
     let sim = simulation(prepared, opts)?;
     let started = std::time::Instant::now();
     let live = live_publisher(&sim, opts)?;
@@ -553,6 +560,7 @@ fn run(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), Cl
 }
 
 fn profile(prepared: &Circuit, opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    check_strategy_flags(opts)?;
     let sim = simulation(prepared, opts)?;
     let aggregate = AggregatingRecorder::new();
     let live = live_publisher(&sim, opts)?;
@@ -1349,6 +1357,42 @@ mod tests {
             parts.extend(extra.iter().copied());
             let err = run_cli(&parts).unwrap_err();
             assert!(err.to_string().contains("--strategy tree"), "{extra:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn flags_no_executor_honours_are_rejected() {
+        let circuit = bell_file();
+        let path = circuit.path_str();
+        let dir = std::env::temp_dir().join(format!("qsim-cli-conflict-{}", std::process::id()));
+        let dir = dir.to_string_lossy().into_owned();
+        for extra in [
+            ["--compressed", "--budget", "2"].as_slice(),
+            &["--compressed", "--threads", "2"],
+            &["--baseline", "--compressed"],
+            &["--baseline", "--budget", "2"],
+            &["--budget", "2", "--threads", "2"],
+            &["--budget", "2", "--cache", &dir],
+            &["--threads", "2", "--cache", &dir],
+            &["--baseline", "--cache", &dir],
+            &["--compressed", "--cache", &dir],
+            &["--strategy", "reuse", "--baseline"],
+            &["--strategy", "reuse", "--compressed"],
+        ] {
+            for command in ["run", "profile"] {
+                let mut parts = vec![command, path.as_str(), "--trials", "16"];
+                parts.extend(extra.iter().copied());
+                let err = run_cli(&parts).unwrap_err().to_string();
+                assert!(err.contains("; drop --"), "{command} {extra:?}: {err}");
+            }
+        }
+        assert!(!std::path::Path::new(&dir).exists(), "a rejected run opened the cache");
+        for extra in
+            [["--baseline", "--threads", "2"].as_slice(), &["--strategy", "reuse", "--budget", "2"]]
+        {
+            let mut parts = vec!["profile", path.as_str(), "--trials", "16"];
+            parts.extend(extra.iter().copied());
+            run_cli(&parts).unwrap();
         }
     }
 

@@ -1,10 +1,11 @@
-//! A storage-compressed variant of the reuse executor.
+//! Compressed at-rest storage for the reuse walk.
 //!
 //! The paper keeps the MSV count low because each cached frontier costs a
 //! full `2ⁿ` amplitude vector; its related work (compressed simulation,
 //! QuIDD/decision-diagram state storage) attacks the *per-state* cost
-//! instead. This module combines the two: the same reordered prefix-caching
-//! traversal, but frontiers at rest are held as
+//! instead. This module combines the two. Compression is not a traversal of
+//! its own: it is a storage policy of the one reordered prefix-caching walk
+//! ([`crate::exec::ReuseExecutor`]), which here parks its frontiers as
 //! [`qsim_statevec::StoredState`] (exact zero-elided sparse form when
 //! profitable). Structured circuits spend long prefixes in nearly-basis
 //! states, where a cached frontier shrinks from `2ⁿ` amplitudes to a
@@ -12,17 +13,18 @@
 //!
 //! Operation counts and measurement outcomes are identical to
 //! [`crate::exec::ReuseExecutor`]; only the at-rest representation differs.
-//! Like the dense executors, the traversal runs the trial set's shared
+//! Like the dense executors, the walk runs the trial set's shared
 //! [`qsim_circuit::FusedProgram`], so outcomes stay bitwise comparable
 //! across every execution strategy.
 
-use qsim_circuit::{FusedProgram, LayeredCircuit};
+use qsim_circuit::LayeredCircuit;
 use qsim_noise::Trial;
-use qsim_statevec::{MeasureOutcome, StateVector, StoredState};
-use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
+use qsim_statevec::{StateVector, StoredState};
+use qsim_telemetry::{NullRecorder, Recorder};
 
-use crate::exec::{ExecStats, RunResult};
-use crate::order::{compare_trials, lcp};
+use crate::exec::{
+    fuse_for_trials_traced, AtRest, Engine, Frame, Outcomes, PrefixCache, ReuseExecutor, RunResult,
+};
 use crate::SimError;
 
 /// Memory accounting of one compressed run.
@@ -67,46 +69,58 @@ impl CompressionStats {
     }
 }
 
-struct Frame {
-    depth: usize,
-    done: i64,
-    stored: StoredState,
+/// Parked frontiers held as [`StoredState`]: every park compresses (and is
+/// counted), every visit decompresses, advances in dense form and re-parks.
+struct Compressed {
+    dense_bytes: usize,
+    stats: CompressionStats,
 }
 
-/// Bytes held by the cached frontiers in their at-rest (compressed) form
-/// — the compressed executor's resident-memory gauge for heartbeats.
-fn stored_resident_bytes(stack: &[Frame]) -> u64 {
-    stack.iter().map(|f| f.stored.stored_bytes() as u64).sum()
-}
+impl AtRest for Compressed {
+    type Held = StoredState;
+    const SHARED: &'static str = "compressed/shared";
+    const BRANCH: &'static str = "compressed/branch";
+    const REMAINDER: &'static str = "compressed/remainder";
+    const SPAN: &'static str = "run/compressed";
 
-/// Advance through fused segments, observing per-kernel timings when the
-/// recorder is live (mirrors the dense executors' instrumentation,
-/// including the batched fallback for recorders that decline per-kernel
-/// timing).
-fn advance_traced<R: Recorder + ?Sized>(
-    program: &FusedProgram,
-    state: &mut StateVector,
-    done: &mut i64,
-    through: i64,
-    recorder: &R,
-    phase: &'static str,
-) -> Result<(u64, u64), SimError> {
-    if !recorder.enabled() {
-        return Ok(program.apply_through(state, done, through)?);
-    }
-    if !recorder.kernel_timing() {
-        let start = recorder.now_ns();
-        let counts = program.apply_through(state, done, through)?;
-        let ns = recorder.now_ns().saturating_sub(start);
-        if counts.1 > 0 {
-            recorder.kernel(phase, KernelClass::Unfused, through.max(0) as u64, counts.1, ns);
+    fn hold(&mut self, state: StateVector) -> StoredState {
+        let stored = StoredState::compress_owned(state);
+        self.stats.frames_stored += 1;
+        if stored.is_sparse() {
+            self.stats.sparse_frames += 1;
         }
-        return Ok(counts);
+        self.stats.total_stored_bytes += stored.stored_bytes() as u64;
+        self.stats.total_dense_bytes += self.dense_bytes as u64;
+        stored
     }
-    Ok(program.apply_through_observed(state, done, through, &mut |op, layer, ns| {
-        let class = KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
-        recorder.kernel(phase, class, layer as u64, 1, ns);
-    })?)
+
+    fn visit<T>(&mut self, held: &mut StoredState, f: impl FnOnce(&mut StateVector) -> T) -> T {
+        let mut state = held.to_state();
+        let out = f(&mut state);
+        *held = self.hold(state);
+        out
+    }
+
+    fn copy(&mut self, held: &StoredState) -> StateVector {
+        held.to_state()
+    }
+
+    fn take(&mut self, held: StoredState) -> StateVector {
+        held.into_state()
+    }
+
+    fn resident_bytes(&mut self, stack: &[Frame<StoredState>]) -> u64 {
+        let bytes: usize = stack.iter().map(|f| f.state.stored_bytes()).sum();
+        self.stats.peak_stored_bytes = self.stats.peak_stored_bytes.max(bytes);
+        bytes as u64
+    }
+
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R) {
+        recorder.counter("compress.frames_stored", self.stats.frames_stored);
+        recorder.counter("compress.sparse_frames", self.stats.sparse_frames);
+        recorder.counter("compress.stored_bytes", self.stats.total_stored_bytes);
+        recorder.counter("compress.dense_bytes", self.stats.total_dense_bytes);
+    }
 }
 
 /// Run the reordered, prefix-cached execution with compressed at-rest
@@ -125,10 +139,10 @@ pub fn run_reordered_compressed(
 
 /// [`run_reordered_compressed`] with instrumentation streamed into
 /// `recorder`: per-kernel timings (phases `"compressed/shared"`,
-/// `"compressed/remainder"`), MSV lifecycle and prefix-cache events
-/// matching the dense reuse executor, `compress.*` counters mirroring
-/// [`CompressionStats`], and a `"run/compressed"` span. With a
-/// [`NullRecorder`] this is exactly [`run_reordered_compressed`].
+/// `"compressed/branch"`, `"compressed/remainder"`), MSV lifecycle and
+/// prefix-cache events matching the dense reuse executor, `compress.*`
+/// counters mirroring [`CompressionStats`], and a `"run/compressed"` span.
+/// With a [`NullRecorder`] this is exactly [`run_reordered_compressed`].
 ///
 /// # Errors
 ///
@@ -138,236 +152,21 @@ pub fn run_reordered_compressed_traced<R: Recorder + ?Sized>(
     trials: &[Trial],
     recorder: &R,
 ) -> Result<(RunResult, CompressionStats), SimError> {
-    let n_layers = layered.n_layers();
-    for trial in trials {
-        if let Some(inj) = trial.injections().last() {
-            if inj.layer() >= n_layers {
-                return Err(SimError::LayerOutOfRange { layer: inj.layer(), n_layers });
-            }
-        }
-    }
-    #[cfg(feature = "paranoid")]
-    crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
-    let span_start = recorder.now_ns();
-    let last_layer = n_layers as i64 - 1;
-    let program = crate::exec::fuse_for_trials_traced(layered, trials, recorder);
+    let program = fuse_for_trials_traced(layered, trials, recorder);
     let dense_bytes = StoredState::dense_bytes(layered.n_qubits());
-    let mut order: Vec<usize> = (0..trials.len()).collect();
-    order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
-
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-    let mut ops: u64 = 0;
-    let mut fused_ops: u64 = 0;
-    let mut passes: u64 = 0;
-    let mut peak_msv = usize::from(!trials.is_empty());
-    let mut comp = CompressionStats::default();
-    let store = |comp: &mut CompressionStats, state: StateVector| -> StoredState {
-        let stored = StoredState::compress_owned(state);
-        comp.frames_stored += 1;
-        if stored.is_sparse() {
-            comp.sparse_frames += 1;
-        }
-        comp.total_stored_bytes += stored.stored_bytes() as u64;
-        comp.total_dense_bytes += dense_bytes as u64;
-        stored
-    };
-
-    let mut stack: Vec<Frame> = vec![Frame {
-        depth: 0,
-        done: -1,
-        stored: store(&mut comp, StateVector::zero_state(layered.n_qubits())),
-    }];
-    let track_bytes = |comp: &mut CompressionStats, stack: &[Frame], msv_peak: usize| {
-        let bytes: usize = stack.iter().map(|f| f.stored.stored_bytes()).sum();
-        comp.peak_stored_bytes = comp.peak_stored_bytes.max(bytes);
-        comp.peak_dense_bytes = comp.peak_dense_bytes.max(msv_peak * dense_bytes);
-    };
-    track_bytes(&mut comp, &stack, peak_msv);
-    if recorder.enabled() && !trials.is_empty() {
-        recorder.msv(MsvEvent::Create, 0, 1);
-    }
-
-    for (pos, &orig) in order.iter().enumerate() {
-        let cur = &trials[orig];
-        let injections = cur.injections();
-        let keep = match order.get(pos + 1) {
-            Some(&next) => lcp(cur, &trials[next]),
-            None => 0,
-        };
-        let mut d = stack.last().expect("stack holds the root").depth;
-        if recorder.enabled() {
-            recorder.cache(d, pos > 0);
-            if pos > 0 {
-                recorder.msv(MsvEvent::Reuse, d, stack.len());
-            }
-        }
-        loop {
-            if d == injections.len() {
-                // Terminal: finish the circuit on the node frontier.
-                let top = stack.last_mut().expect("nonempty stack");
-                let mut state = top.stored.to_state();
-                let (src, f) = advance_traced(
-                    &program,
-                    &mut state,
-                    &mut top.done,
-                    last_layer,
-                    recorder,
-                    "compressed/shared",
-                )?;
-                ops += src;
-                fused_ops += f;
-                passes += f;
-                outcomes[orig] = Some(crate::exec::measure(layered, &state, cur));
-                top.stored = store(&mut comp, state);
-                while stack.last().is_some_and(|f| f.depth > keep) {
-                    let frame = stack.pop().expect("checked nonempty");
-                    if recorder.enabled() {
-                        recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                    }
-                }
-                track_bytes(&mut comp, &stack, peak_msv);
-                if recorder.enabled() {
-                    recorder.heartbeat(Heartbeat {
-                        completed: 1,
-                        depth: d as u64,
-                        resident_bytes: stored_resident_bytes(&stack),
-                    });
-                }
-                break;
-            }
-            let target = injections[d].layer() as i64;
-            {
-                let top = stack.last_mut().expect("nonempty stack");
-                if top.done < target {
-                    let mut state = top.stored.to_state();
-                    let (src, f) = advance_traced(
-                        &program,
-                        &mut state,
-                        &mut top.done,
-                        target,
-                        recorder,
-                        "compressed/shared",
-                    )?;
-                    ops += src;
-                    fused_ops += f;
-                    passes += f;
-                    top.stored = store(&mut comp, state);
-                }
-            }
-            if d < keep {
-                let mut child = stack.last().expect("nonempty stack").stored.to_state();
-                crate::exec::inject_traced(
-                    &injections[d],
-                    &mut child,
-                    recorder,
-                    "compressed/branch",
-                )?;
-                ops += 1;
-                passes += 1;
-                stack.push(Frame { depth: d + 1, done: target, stored: store(&mut comp, child) });
-                peak_msv = peak_msv.max(stack.len());
-                if recorder.enabled() {
-                    recorder.msv(MsvEvent::Fork, d + 1, stack.len());
-                }
-                track_bytes(&mut comp, &stack, peak_msv);
-                d += 1;
-            } else {
-                let mut working = if d <= keep {
-                    stack.last().expect("nonempty stack").stored.to_state()
-                } else {
-                    let frame = stack.pop().expect("nonempty stack");
-                    if recorder.enabled() {
-                        recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                    }
-                    while stack.last().is_some_and(|f| f.depth > keep) {
-                        let dropped = stack.pop().expect("checked nonempty");
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
-                        }
-                    }
-                    frame.stored.into_state()
-                };
-                let mut done = target;
-                crate::exec::inject_traced(
-                    &injections[d],
-                    &mut working,
-                    recorder,
-                    "compressed/remainder",
-                )?;
-                ops += 1;
-                passes += 1;
-                for inj in &injections[d + 1..] {
-                    let (src, f) = advance_traced(
-                        &program,
-                        &mut working,
-                        &mut done,
-                        inj.layer() as i64,
-                        recorder,
-                        "compressed/remainder",
-                    )?;
-                    ops += src;
-                    fused_ops += f;
-                    passes += f;
-                    crate::exec::inject_traced(
-                        inj,
-                        &mut working,
-                        recorder,
-                        "compressed/remainder",
-                    )?;
-                    ops += 1;
-                    passes += 1;
-                }
-                let (src, f) = advance_traced(
-                    &program,
-                    &mut working,
-                    &mut done,
-                    last_layer,
-                    recorder,
-                    "compressed/remainder",
-                )?;
-                ops += src;
-                fused_ops += f;
-                passes += f;
-                outcomes[orig] = Some(crate::exec::measure(layered, &working, cur));
-                track_bytes(&mut comp, &stack, peak_msv);
-                if recorder.enabled() {
-                    recorder.heartbeat(Heartbeat {
-                        completed: 1,
-                        depth: d as u64,
-                        resident_bytes: stored_resident_bytes(&stack),
-                    });
-                }
-                break;
-            }
-        }
-    }
-
-    let stats = ExecStats {
-        ops,
-        fused_ops,
-        amplitude_passes: passes,
-        peak_msv: if trials.is_empty() { 0 } else { peak_msv },
-        n_trials: trials.len(),
-        ..ExecStats::default()
-    };
-    if recorder.enabled() {
-        crate::exec::record_stats_counters(recorder, &stats);
-        recorder.counter("compress.frames_stored", comp.frames_stored);
-        recorder.counter("compress.sparse_frames", comp.sparse_frames);
-        recorder.counter("compress.stored_bytes", comp.total_stored_bytes);
-        recorder.counter("compress.dense_bytes", comp.total_dense_bytes);
-        recorder.span("run/compressed", span_start, recorder.now_ns());
-    }
-    Ok((
-        RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        },
-        comp,
-    ))
+    let mut policy = Compressed { dense_bytes, stats: CompressionStats::default() };
+    let mut outcomes = Outcomes::new(trials.len());
+    let stats = ReuseExecutor::new(layered).walk(
+        Engine::Fused(&program),
+        trials,
+        usize::MAX,
+        PrefixCache::Off,
+        &mut policy,
+        |index, outcome| outcomes.put(index, outcome),
+        recorder,
+    )?;
+    let comp = CompressionStats { peak_dense_bytes: stats.peak_msv * dense_bytes, ..policy.stats };
+    Ok((outcomes.into_result(stats), comp))
 }
 
 #[cfg(test)]
@@ -441,6 +240,48 @@ mod tests {
         let (plain, plain_comp) = run_reordered_compressed(&layered, set.trials()).unwrap();
         assert_eq!(plain, result);
         assert_eq!(plain_comp, comp);
+    }
+
+    #[test]
+    fn compression_stats_are_pinned() {
+        // Recorded before compression became a storage policy of the shared
+        // reuse walk: every field and counter must survive that fold (e.g. a
+        // shared advance re-stores its frame only when it moved).
+        use qsim_noise::{NoiseModel, TrialGenerator};
+        use qsim_telemetry::AggregatingRecorder;
+        let pinned = [
+            ("bv5", [1024, 1024, 1030, 1, 526_872, 527_360]),
+            ("qft5", [1024, 1536, 1051, 639, 290_120, 538_112]),
+            ("qv_n5d3", [1024, 1024, 1044, 39, 529_176, 534_528]),
+        ];
+        let suite = crate::testkit::yorktown_suite();
+        for (name, want) in pinned {
+            let (_, layered) = suite.iter().find(|(n, _)| n == name).expect("suite circuit");
+            let set = TrialGenerator::new(layered, &NoiseModel::ibm_yorktown())
+                .expect("native circuit")
+                .generate(1000, 7);
+            let recorder = AggregatingRecorder::new();
+            let (_, comp) =
+                run_reordered_compressed_traced(layered, set.trials(), &recorder).unwrap();
+            let got = [
+                comp.peak_stored_bytes as u64,
+                comp.peak_dense_bytes as u64,
+                comp.frames_stored,
+                comp.sparse_frames,
+                comp.total_stored_bytes,
+                comp.total_dense_bytes,
+            ];
+            assert_eq!(got, want, "{name}");
+            let report = recorder.report();
+            let counters = [
+                "compress.frames_stored",
+                "compress.sparse_frames",
+                "compress.stored_bytes",
+                "compress.dense_bytes",
+            ]
+            .map(|c| report.counter(c));
+            assert_eq!(counters, [want[2], want[3], want[4], want[5]], "{name}");
+        }
     }
 
     #[test]

@@ -109,9 +109,9 @@ pub struct RunResult {
 /// (the default) or the pre-fusion layer-by-layer path (kept as reference
 /// and benchmark comparator).
 #[derive(Clone, Copy, Debug)]
-enum Engine<'p> {
+pub(crate) enum Engine<'p> {
     Fused(&'p FusedProgram),
-    Layers,
+    Layers(&'p LayeredCircuit),
 }
 
 impl Engine<'_> {
@@ -119,14 +119,13 @@ impl Engine<'_> {
     /// amplitude_passes)` performed.
     fn advance(
         &self,
-        layered: &LayeredCircuit,
         state: &mut StateVector,
         done: &mut i64,
         through: i64,
     ) -> Result<(u64, u64), SimError> {
         match self {
             Engine::Fused(program) => Ok(program.apply_through(state, done, through)?),
-            Engine::Layers => {
+            Engine::Layers(layered) => {
                 let mut ops = 0u64;
                 while *done < through {
                     *done += 1;
@@ -137,34 +136,33 @@ impl Engine<'_> {
         }
     }
 
-    /// [`Engine::advance`] with per-kernel telemetry: each fused op is
-    /// individually timed and attributed to `phase`; the layer-by-layer
-    /// engine — and any engine observed by a recorder that declines
-    /// per-kernel timing — reports one batched `unfused` observation.
-    /// Disabled recorders short-circuit to the unobserved path (no clock
-    /// reads).
+    /// [`Engine::advance`] with per-kernel telemetry, accumulating the work
+    /// into `stats`: each fused op is individually timed and attributed to
+    /// `phase`; the layer-by-layer engine — and any engine observed by a
+    /// recorder that declines per-kernel timing — reports one batched
+    /// `unfused` observation. Disabled recorders short-circuit to the
+    /// unobserved path (no clock reads).
     fn advance_traced<R: Recorder + ?Sized>(
         &self,
-        layered: &LayeredCircuit,
         state: &mut StateVector,
         done: &mut i64,
         through: i64,
         recorder: &R,
         phase: &'static str,
-    ) -> Result<(u64, u64), SimError> {
-        if !recorder.enabled() {
-            return self.advance(layered, state, done, through);
-        }
-        match self {
-            Engine::Fused(program) if recorder.kernel_timing() => Ok(program
-                .apply_through_observed(state, done, through, &mut |op, layer, ns| {
+        stats: &mut ExecStats,
+    ) -> Result<(), SimError> {
+        let (src, passes) = match self {
+            _ if !recorder.enabled() => self.advance(state, done, through)?,
+            Engine::Fused(program) if recorder.kernel_timing() => {
+                program.apply_through_observed(state, done, through, &mut |op, layer, ns| {
                     let class =
                         KernelClass::from_name(op.kernel_name()).unwrap_or(KernelClass::Unfused);
                     recorder.kernel(phase, class, layer as u64, 1, ns);
-                })?),
-            Engine::Fused(_) | Engine::Layers => {
+                })?
+            }
+            Engine::Fused(_) | Engine::Layers(_) => {
                 let start = recorder.now_ns();
-                let counts = self.advance(layered, state, done, through)?;
+                let counts = self.advance(state, done, through)?;
                 let ns = recorder.now_ns().saturating_sub(start);
                 if counts.1 > 0 {
                     recorder.kernel(
@@ -175,20 +173,27 @@ impl Engine<'_> {
                         ns,
                     );
                 }
-                Ok(counts)
+                counts
             }
-        }
+        };
+        stats.ops += src;
+        stats.fused_ops += passes;
+        stats.amplitude_passes += passes;
+        Ok(())
     }
 }
 
 /// Apply one injected error operator, timed under the `error` kernel class
-/// when the recorder is live.
+/// when the recorder is live, and count it into `stats`.
 pub(crate) fn inject_traced<R: Recorder + ?Sized>(
     injection: &Injection,
     state: &mut StateVector,
     recorder: &R,
     phase: &'static str,
+    stats: &mut ExecStats,
 ) -> Result<(), SimError> {
+    stats.ops += 1;
+    stats.amplitude_passes += 1;
     if !recorder.enabled() {
         injection.apply_to(state)?;
         return Ok(());
@@ -198,6 +203,26 @@ pub(crate) fn inject_traced<R: Recorder + ?Sized>(
     let ns = recorder.now_ns().saturating_sub(start);
     recorder.kernel(phase, KernelClass::Error, injection.layer() as u64, 1, ns);
     Ok(())
+}
+
+/// Per-trial outcome slots that a streaming run fills in processing order
+/// and that are read back in input order.
+pub(crate) struct Outcomes(Vec<Option<MeasureOutcome>>);
+
+impl Outcomes {
+    pub(crate) fn new(n_trials: usize) -> Self {
+        Outcomes(vec![None; n_trials])
+    }
+
+    pub(crate) fn put(&mut self, index: usize, outcome: MeasureOutcome) {
+        self.0[index] = Some(outcome);
+    }
+
+    pub(crate) fn into_result(self, stats: ExecStats) -> RunResult {
+        let outcomes =
+            self.0.into_iter().map(|o| o.expect("every trial produced an outcome")).collect();
+        RunResult { outcomes, stats }
+    }
 }
 
 /// Bytes of one dense amplitude vector for an `n_qubits` register (each
@@ -389,7 +414,7 @@ impl<'a> BaselineExecutor<'a> {
     /// Returns [`SimError`] for trials whose injections do not fit the
     /// circuit.
     pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        self.run_engine(Engine::Layers, trials, &NullRecorder)
+        self.run_engine(Engine::Layers(self.layered), trials, &NullRecorder)
     }
 
     fn run_engine<R: Recorder + ?Sized>(
@@ -423,15 +448,11 @@ impl<'a> BaselineExecutor<'a> {
                 } else {
                     last_layer
                 };
-                let (src, passes) = engine
-                    .advance_traced(layered, &mut state, &mut done, target, recorder, "baseline")?;
-                stats.ops += src;
-                stats.fused_ops += passes;
-                stats.amplitude_passes += passes;
+                engine.advance_traced(
+                    &mut state, &mut done, target, recorder, "baseline", &mut stats,
+                )?;
                 while next < injections.len() && injections[next].layer() as i64 == done {
-                    inject_traced(&injections[next], &mut state, recorder, "baseline")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
+                    inject_traced(&injections[next], &mut state, recorder, "baseline", &mut stats)?;
                     next += 1;
                 }
             }
@@ -459,29 +480,122 @@ impl<'a> BaselineExecutor<'a> {
 /// while the *next* trial still branches from it (the paper's eager drop),
 /// so the stored-state stack is exactly the shared prefix between
 /// consecutive trials.
+///
+/// This walk is the only sorted-trial stack walk in the crate: budgeted,
+/// cached, parallel and compressed runs ([`crate::compressed`]) are the
+/// same walk with another budget, root, trial slice or at-rest storage.
 #[derive(Clone, Copy, Debug)]
 pub struct ReuseExecutor<'a> {
     layered: &'a LayeredCircuit,
 }
 
-struct Frame {
+/// A parked frontier of the reuse walk, held in its policy's at-rest form.
+pub(crate) struct Frame<S> {
     depth: usize,
     /// Highest layer index already applied to `state` (−1 = none).
     done: i64,
-    state: StateVector,
+    pub(crate) state: S,
+}
+
+/// How the reuse walk holds parked frontiers at rest: the one policy that
+/// differs between the dense and the compressed executor. The walk is
+/// generic over it, so each policy runs its own monomorphized copy.
+pub(crate) trait AtRest {
+    /// A parked frontier's at-rest form.
+    type Held;
+    /// Kernel phase of advances on a parked frontier.
+    const SHARED: &'static str;
+    /// Kernel phase of forks.
+    const BRANCH: &'static str;
+    /// Kernel phase of a trial's unshared remainder.
+    const REMAINDER: &'static str;
+    /// Span bracketing the walk.
+    const SPAN: &'static str;
+
+    /// Park a dense state.
+    fn hold(&mut self, state: StateVector) -> Self::Held;
+    /// Run `f` on a parked state in dense form; the result stays parked.
+    fn visit<T>(&mut self, held: &mut Self::Held, f: impl FnOnce(&mut StateVector) -> T) -> T;
+    /// A dense working copy of a parked state.
+    fn copy(&mut self, held: &Self::Held) -> StateVector;
+    /// Unpark a frontier no later trial reads, as a working state.
+    fn take(&mut self, held: Self::Held) -> StateVector;
+    /// Free a parked frontier no later trial reads (by default, drop it).
+    fn release(&mut self, _held: Self::Held) {}
+    /// Free a measured working state (by default, drop it).
+    fn recycle(&mut self, _state: StateVector) {}
+    /// Bytes the parked frontiers occupy, for the heartbeat. The walk calls
+    /// this after the stack grows and after every trial, which is where a
+    /// policy tracks its own peak.
+    fn resident_bytes(&mut self, stack: &[Frame<Self::Held>]) -> u64;
+    /// Emit the policy's end-of-run counters.
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R);
+}
+
+/// Dense at-rest frontiers whose buffers recycle through a [`StatePool`].
+struct Dense {
+    pool: StatePool,
+    amp_bytes: u64,
+}
+
+impl Dense {
+    fn new(n_qubits: usize) -> Self {
+        Dense { pool: StatePool::new(), amp_bytes: amp_bytes(n_qubits) }
+    }
+}
+
+impl AtRest for Dense {
+    type Held = StateVector;
+    const SHARED: &'static str = "reuse/shared";
+    const BRANCH: &'static str = "reuse/branch";
+    const REMAINDER: &'static str = "reuse/remainder";
+    const SPAN: &'static str = "run/reuse";
+
+    fn hold(&mut self, state: StateVector) -> StateVector {
+        state
+    }
+
+    fn visit<T>(&mut self, held: &mut StateVector, f: impl FnOnce(&mut StateVector) -> T) -> T {
+        f(held)
+    }
+
+    fn copy(&mut self, held: &StateVector) -> StateVector {
+        self.pool.clone_state(held)
+    }
+
+    fn take(&mut self, held: StateVector) -> StateVector {
+        held
+    }
+
+    fn release(&mut self, held: StateVector) {
+        self.pool.recycle(held);
+    }
+
+    fn recycle(&mut self, state: StateVector) {
+        self.pool.recycle(state);
+    }
+
+    fn resident_bytes(&mut self, stack: &[Frame<StateVector>]) -> u64 {
+        (stack.len() + self.pool.idle()) as u64 * self.amp_bytes
+    }
+
+    fn record<R: Recorder + ?Sized>(&self, recorder: &R) {
+        recorder.counter("pool.reused", self.pool.reuse_count());
+        recorder.counter("pool.allocated", self.pool.alloc_count());
+    }
 }
 
 /// How one streaming execution interacts with the cross-run semantic
 /// prefix cache (`redsim-msvstore`).
 ///
-/// [`PrefixCache::Off`] is the behaviour of every pre-existing entry
-/// point. The other two variants exist for `Simulation::run_reordered_cached`:
-/// on a store hit the root frontier is *seeded* with the restored prefix
-/// state (the first trial's shared advance becomes a no-op, and the
-/// skipped work is credited back into [`ExecStats`] so cached and
-/// uncached runs report identical accounting); on a miss the run proceeds
-/// bit-for-bit as [`PrefixCache::Off`] and merely *captures* a copy of
-/// the root frontier the moment it first reaches the publishable layer.
+/// [`PrefixCache::Off`] is the plain reordered run. The other two variants
+/// exist for `Simulation::run_reordered_cached`: on a store hit the root
+/// frontier is *seeded* with the restored prefix state (the first trial's
+/// shared advance becomes a no-op, and the skipped work is credited back
+/// into [`ExecStats`] so cached and uncached runs report identical
+/// accounting); on a miss the run proceeds bit-for-bit as
+/// [`PrefixCache::Off`] and merely *captures* a copy of the root frontier
+/// the moment it first reaches the publishable layer.
 pub enum PrefixCache<'c> {
     /// No cross-run caching.
     Off,
@@ -517,12 +631,34 @@ pub enum PrefixCache<'c> {
 /// Clone the root frontier into the capture slot the first time it parks
 /// exactly at the capture layer. The clone is a plain memcpy on the miss
 /// path; nothing else about the run observes it.
-fn maybe_capture(capture: &mut Option<(i64, &mut Option<StateVector>)>, frame: &Frame) {
-    let parked = matches!(capture, Some((layer, _)) if frame.depth == 0 && frame.done == *layer);
+fn maybe_capture(
+    capture: &mut Option<(i64, &mut Option<StateVector>)>,
+    depth: usize,
+    done: i64,
+    state: &StateVector,
+) {
+    let parked = matches!(capture, Some((layer, _)) if depth == 0 && done == *layer);
     if parked {
         if let Some((_, out)) = capture.take() {
-            *out = Some(frame.state.clone());
+            *out = Some(state.clone());
         }
+    }
+}
+
+/// Eagerly drop every parked frontier deeper than `keep`: no later trial
+/// branches from them.
+fn drop_deeper<P: AtRest, R: Recorder + ?Sized>(
+    stack: &mut Vec<Frame<P::Held>>,
+    keep: usize,
+    policy: &mut P,
+    recorder: &R,
+) {
+    while stack.last().is_some_and(|f| f.depth > keep) {
+        let frame = stack.pop().expect("checked nonempty");
+        if recorder.enabled() {
+            recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
+        }
+        policy.release(frame.state);
     }
 }
 
@@ -540,7 +676,7 @@ impl<'a> ReuseExecutor<'a> {
     /// Returns [`SimError`] for trials whose injections do not fit the
     /// circuit.
     pub fn run(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        self.run_with_budget(trials, usize::MAX)
+        self.run_with_budget_traced(trials, usize::MAX, &NullRecorder)
     }
 
     /// [`ReuseExecutor::run`] with instrumentation streamed into
@@ -562,38 +698,6 @@ impl<'a> ReuseExecutor<'a> {
         self.run_with_budget_traced(trials, usize::MAX, recorder)
     }
 
-    /// [`ReuseExecutor::run_with_budget`] with instrumentation (see
-    /// [`ReuseExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_with_budget`].
-    pub fn run_with_budget_traced<R: Recorder + ?Sized>(
-        &self,
-        trials: &[Trial],
-        budget: usize,
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        let stats = self.run_streaming_engine(
-            Engine::Fused(&program),
-            trials,
-            budget,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
-            recorder,
-        )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
-    }
-
     /// Execute with a hard cap on concurrently stored state vectors — the
     /// memory-constrained regime the paper's §IV motivates ("the maximal
     /// number of state vectors we can store is limited since one state
@@ -607,41 +711,32 @@ impl<'a> ReuseExecutor<'a> {
     /// Returns [`SimError::Circuit`] for `budget == 0` and [`SimError`] for
     /// trials whose injections do not fit the circuit.
     pub fn run_with_budget(&self, trials: &[Trial], budget: usize) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming(trials, budget, |index, outcome| {
-            outcomes[index] = Some(outcome);
-        })?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
+        self.run_with_budget_traced(trials, budget, &NullRecorder)
     }
 
-    /// Like [`ReuseExecutor::run`], but through an externally compiled
-    /// program (shared fusion across runs or worker threads).
+    /// [`ReuseExecutor::run_with_budget`] with instrumentation (see
+    /// [`ReuseExecutor::run_traced`]).
     ///
     /// # Errors
     ///
-    /// As [`BaselineExecutor::run_with_program`].
-    pub fn run_with_program(
+    /// As [`ReuseExecutor::run_with_budget`].
+    pub fn run_with_budget_traced<R: Recorder + ?Sized>(
         &self,
-        program: &FusedProgram,
         trials: &[Trial],
+        budget: usize,
+        recorder: &R,
     ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_with(program, trials, usize::MAX, |index, outcome| {
-            outcomes[index] = Some(outcome);
-        })?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
+        let program = fuse_for_trials_traced(self.layered, trials, recorder);
+        let mut outcomes = Outcomes::new(trials.len());
+        let stats = self.run_streaming(
+            &program,
+            trials,
+            budget,
+            PrefixCache::Off,
+            |index, outcome| outcomes.put(index, outcome),
+            recorder,
+        )?;
+        Ok(outcomes.into_result(stats))
     }
 
     /// Execute layer-by-layer without fusion — the pre-fusion reference
@@ -651,101 +746,38 @@ impl<'a> ReuseExecutor<'a> {
     ///
     /// As [`ReuseExecutor::run`].
     pub fn run_unfused(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_engine(
-            Engine::Layers,
+        let mut outcomes = Outcomes::new(trials.len());
+        let stats = self.walk(
+            Engine::Layers(self.layered),
             trials,
             usize::MAX,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
+            PrefixCache::Off,
+            &mut Dense::new(self.layered.n_qubits()),
+            |index, outcome| outcomes.put(index, outcome),
             &NullRecorder,
         )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
+        Ok(outcomes.into_result(stats))
     }
 
-    /// Streaming execution: like [`ReuseExecutor::run_with_budget`], but
-    /// outcomes are handed to `sink(original_trial_index, outcome)` as they
-    /// are produced (in reordered processing order) instead of being
-    /// collected — the right shape for 10⁶-trial runs where the outcome
-    /// vector itself is the memory bottleneck, or for online aggregation
-    /// into a [`crate::Histogram`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_with_budget`].
-    pub fn run_streaming<F>(
-        &self,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-    {
-        let program = fuse_for_trials(self.layered, trials);
-        self.run_streaming_with(&program, trials, budget, sink)
-    }
-
-    /// Streaming execution through an externally compiled program.
+    /// The entry point behind every dense reuse run: execute `trials`
+    /// through an externally compiled `program` (shared fusion across runs
+    /// or worker threads) under a stored-state `budget` (see
+    /// [`ReuseExecutor::run_with_budget`]) and a cross-run `prefix`
+    /// interaction, with the instrumentation of
+    /// [`ReuseExecutor::run_traced`]. Outcomes are handed to
+    /// `sink(original_trial_index, outcome)` as they are produced (in
+    /// reordered processing order) instead of being collected — the right
+    /// shape for 10⁶-trial runs where the outcome vector itself is the
+    /// memory bottleneck, or for online aggregation into a
+    /// [`crate::Histogram`].
     ///
     /// # Errors
     ///
     /// As [`ReuseExecutor::run_with_budget`], plus alignment failures (see
-    /// [`BaselineExecutor::run_with_program`]).
-    pub fn run_streaming_with<F>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-    {
-        self.run_streaming_engine(Engine::Fused(program), trials, budget, sink, &NullRecorder)
-    }
-
-    /// [`ReuseExecutor::run_streaming_with`] with instrumentation (see
-    /// [`ReuseExecutor::run_traced`]). This is the variant parallel workers
-    /// use: one shared program, one shared recorder.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_streaming_with`].
-    pub fn run_streaming_with_traced<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        self.run_streaming_engine(Engine::Fused(program), trials, budget, sink, recorder)
-    }
-
-    /// [`ReuseExecutor::run_streaming_with_traced`] with an explicit
-    /// cross-run prefix-cache interaction — the entry point
-    /// `Simulation::run_reordered_cached` drives. With
-    /// [`PrefixCache::Off`] this is exactly
-    /// [`ReuseExecutor::run_streaming_with_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReuseExecutor::run_streaming_with`], plus
-    /// [`SimError::Circuit`] when a [`PrefixCache::Seed`] does not match
-    /// the trial set's actual shared-prefix layer or register width.
-    pub fn run_streaming_prefix_traced<F, R>(
+    /// [`BaselineExecutor::run_with_program`]) and [`SimError::Circuit`]
+    /// when a [`PrefixCache::Seed`] does not match the trial set's actual
+    /// shared-prefix layer or register width.
+    pub fn run_streaming<F, R>(
         &self,
         program: &FusedProgram,
         trials: &[Trial],
@@ -758,41 +790,24 @@ impl<'a> ReuseExecutor<'a> {
         F: FnMut(usize, MeasureOutcome),
         R: Recorder + ?Sized,
     {
-        self.run_streaming_engine_prefix(
-            Engine::Fused(program),
-            trials,
-            budget,
-            prefix,
-            sink,
-            recorder,
-        )
+        let mut policy = Dense::new(self.layered.n_qubits());
+        self.walk(Engine::Fused(program), trials, budget, prefix, &mut policy, sink, recorder)
     }
 
-    fn run_streaming_engine<F, R>(
-        &self,
-        engine: Engine<'_>,
-        trials: &[Trial],
-        budget: usize,
-        sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
-        self.run_streaming_engine_prefix(engine, trials, budget, PrefixCache::Off, sink, recorder)
-    }
-
-    fn run_streaming_engine_prefix<F, R>(
+    /// The sorted-trial stack walk, with parked frontiers held by `policy`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn walk<P, F, R>(
         &self,
         engine: Engine<'_>,
         trials: &[Trial],
         budget: usize,
         prefix: PrefixCache<'_>,
+        policy: &mut P,
         mut sink: F,
         recorder: &R,
     ) -> Result<ExecStats, SimError>
     where
+        P: AtRest,
         F: FnMut(usize, MeasureOutcome),
         R: Recorder + ?Sized,
     {
@@ -818,7 +833,6 @@ impl<'a> ReuseExecutor<'a> {
 
         let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
         let mut peak = usize::from(!trials.is_empty());
-        let mut pool = StatePool::new();
         // The layer the first sorted trial's shared advance stops at — the
         // only layer a seeded root may claim, and the layer a capture
         // watches for.
@@ -827,10 +841,8 @@ impl<'a> ReuseExecutor<'a> {
             .and_then(|&first| trials[first].injections().first())
             .map_or(last_layer, |inj| inj.layer() as i64);
         let mut capture: Option<(i64, &mut Option<StateVector>)> = None;
-        let root = match prefix {
-            PrefixCache::Off => {
-                Frame { depth: 0, done: -1, state: StateVector::zero_state(layered.n_qubits()) }
-            }
+        let (done, root) = match prefix {
+            PrefixCache::Off => (-1, StateVector::zero_state(layered.n_qubits())),
             PrefixCache::Seed { layer, state, ops, passes } => {
                 if trials.is_empty() || layer as i64 != shared_prefix_layer {
                     return Err(SimError::Circuit(format!(
@@ -848,14 +860,15 @@ impl<'a> ReuseExecutor<'a> {
                 stats.ops += ops;
                 stats.fused_ops += passes;
                 stats.amplitude_passes += passes;
-                Frame { depth: 0, done: layer as i64, state }
+                (layer as i64, state)
             }
             PrefixCache::Capture { layer, out } => {
                 capture = Some((layer as i64, out));
-                Frame { depth: 0, done: -1, state: StateVector::zero_state(layered.n_qubits()) }
+                (-1, StateVector::zero_state(layered.n_qubits()))
             }
         };
-        let mut stack: Vec<Frame> = vec![root];
+        let mut stack = vec![Frame { depth: 0, done, state: policy.hold(root) }];
+        policy.resident_bytes(&stack);
         if recorder.enabled() && !trials.is_empty() {
             recorder.msv(MsvEvent::Create, 0, 1);
         }
@@ -885,165 +898,128 @@ impl<'a> ReuseExecutor<'a> {
                 }
             }
             loop {
+                let top = stack.last_mut().expect("nonempty stack");
                 if d == injections.len() {
                     // Terminal at this trie node: finish the circuit on the
-                    // node frontier in place and measure from it.
-                    let top = stack.last_mut().expect("nonempty stack");
-                    let (src, passes) = engine.advance_traced(
-                        layered,
-                        &mut top.state,
-                        &mut top.done,
-                        last_layer,
-                        recorder,
-                        "reuse/shared",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    maybe_capture(&mut capture, top);
-                    sink(orig, measure(layered, &top.state, cur));
-                    while stack.last().is_some_and(|f| f.depth > keep) {
-                        let frame = stack.pop().expect("checked nonempty");
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                        }
-                        pool.recycle(frame.state);
-                    }
+                    // node frontier and measure from it.
+                    policy.visit(&mut top.state, |state| {
+                        engine.advance_traced(
+                            state,
+                            &mut top.done,
+                            last_layer,
+                            recorder,
+                            P::SHARED,
+                            &mut stats,
+                        )?;
+                        maybe_capture(&mut capture, top.depth, top.done, state);
+                        sink(orig, measure(layered, state, cur));
+                        Ok::<_, SimError>(())
+                    })?;
+                    drop_deeper(&mut stack, keep, policy, recorder);
                     debug_assert!(
                         !stack.is_empty(),
                         "eager drop must never pop the root (error-free) frame"
                     );
-                    if recorder.enabled() {
-                        recorder.heartbeat(Heartbeat {
-                            completed: 1,
-                            depth: d as u64,
-                            resident_bytes: (stack.len() + pool.idle()) as u64
-                                * amp_bytes(layered.n_qubits()),
-                        });
-                    }
                     break;
                 }
                 let target = injections[d].layer() as i64;
-                {
-                    let top = stack.last_mut().expect("nonempty stack");
-                    let (src, passes) = engine.advance_traced(
-                        layered,
-                        &mut top.state,
-                        &mut top.done,
-                        target,
-                        recorder,
-                        "reuse/shared",
-                    )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    maybe_capture(&mut capture, top);
+                if top.done < target {
+                    policy.visit(&mut top.state, |state| {
+                        engine.advance_traced(
+                            state,
+                            &mut top.done,
+                            target,
+                            recorder,
+                            P::SHARED,
+                            &mut stats,
+                        )?;
+                        maybe_capture(&mut capture, top.depth, top.done, state);
+                        Ok::<_, SimError>(())
+                    })?;
                 }
                 if d < keep {
                     // The post-injection state is itself a shared prefix of
                     // the next trial: persist it as a new frontier.
                     debug_assert_eq!(
-                        stack.last().expect("nonempty stack").depth,
-                        d,
+                        top.depth, d,
                         "cached clone must branch from the frontier at the shared depth"
                     );
-                    let mut child = pool.clone_state(&stack.last().expect("nonempty stack").state);
-                    inject_traced(&injections[d], &mut child, recorder, "reuse/branch")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
-                    stack.push(Frame { depth: d + 1, done: target, state: child });
+                    let mut child = policy.copy(&top.state);
+                    inject_traced(&injections[d], &mut child, recorder, P::BRANCH, &mut stats)?;
+                    stack.push(Frame { depth: d + 1, done: target, state: policy.hold(child) });
                     debug_assert!(
                         stack.len() <= budget,
                         "cache stack exceeded the state-vector budget"
                     );
                     peak = peak.max(stack.len());
+                    policy.resident_bytes(&stack);
                     if recorder.enabled() {
                         recorder.msv(MsvEvent::Fork, d + 1, stack.len());
                     }
                     d += 1;
+                    continue;
+                }
+                // Transient remainder: nothing below depth d is reused
+                // later. Copy the frontier if the node itself is still
+                // needed, otherwise consume it (the eager drop).
+                let mut working = if d <= keep {
+                    policy.copy(&top.state)
                 } else {
-                    // Transient remainder: nothing below depth d is reused
-                    // later. Clone the frontier if the node itself is still
-                    // needed, otherwise consume it (the eager drop).
-                    let mut working = if d <= keep {
-                        pool.clone_state(&stack.last().expect("nonempty stack").state)
-                    } else {
-                        let frame = stack.pop().expect("nonempty stack");
-                        // Consuming (not copying) is only sound because no
-                        // later trial branches from this node or anything
-                        // below it down to the shared depth.
-                        debug_assert!(
-                            frame.depth > keep,
-                            "consumed a frontier the next trial still reuses"
-                        );
-                        if recorder.enabled() {
-                            recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
-                        }
-                        while stack.last().is_some_and(|f| f.depth > keep) {
-                            let dropped = stack.pop().expect("checked nonempty");
-                            if recorder.enabled() {
-                                recorder.msv(MsvEvent::Drop, dropped.depth, stack.len());
-                            }
-                            pool.recycle(dropped.state);
-                        }
-                        debug_assert!(
-                            stack.last().is_some_and(|f| f.depth <= keep),
-                            "eager drop emptied the stack past the root frame"
-                        );
-                        frame.state
-                    };
-                    let mut done = target;
-                    inject_traced(&injections[d], &mut working, recorder, "reuse/remainder")?;
-                    stats.ops += 1;
-                    stats.amplitude_passes += 1;
-                    for inj in &injections[d + 1..] {
-                        let (src, passes) = engine.advance_traced(
-                            layered,
-                            &mut working,
-                            &mut done,
-                            inj.layer() as i64,
-                            recorder,
-                            "reuse/remainder",
-                        )?;
-                        stats.ops += src;
-                        stats.fused_ops += passes;
-                        stats.amplitude_passes += passes;
-                        inject_traced(inj, &mut working, recorder, "reuse/remainder")?;
-                        stats.ops += 1;
-                        stats.amplitude_passes += 1;
+                    let frame = stack.pop().expect("nonempty stack");
+                    // Consuming (not copying) is only sound because no
+                    // later trial branches from this node or anything
+                    // below it down to the shared depth.
+                    debug_assert!(
+                        frame.depth > keep,
+                        "consumed a frontier the next trial still reuses"
+                    );
+                    if recorder.enabled() {
+                        recorder.msv(MsvEvent::Drop, frame.depth, stack.len());
                     }
-                    let (src, passes) = engine.advance_traced(
-                        layered,
+                    drop_deeper(&mut stack, keep, policy, recorder);
+                    debug_assert!(
+                        stack.last().is_some_and(|f| f.depth <= keep),
+                        "eager drop emptied the stack past the root frame"
+                    );
+                    policy.take(frame.state)
+                };
+                let mut done = target;
+                inject_traced(&injections[d], &mut working, recorder, P::REMAINDER, &mut stats)?;
+                for inj in &injections[d + 1..] {
+                    let layer = inj.layer() as i64;
+                    engine.advance_traced(
                         &mut working,
                         &mut done,
-                        last_layer,
+                        layer,
                         recorder,
-                        "reuse/remainder",
+                        P::REMAINDER,
+                        &mut stats,
                     )?;
-                    stats.ops += src;
-                    stats.fused_ops += passes;
-                    stats.amplitude_passes += passes;
-                    sink(orig, measure(layered, &working, cur));
-                    pool.recycle(working);
-                    if recorder.enabled() {
-                        recorder.heartbeat(Heartbeat {
-                            completed: 1,
-                            depth: d as u64,
-                            resident_bytes: (stack.len() + pool.idle()) as u64
-                                * amp_bytes(layered.n_qubits()),
-                        });
-                    }
-                    break;
+                    inject_traced(inj, &mut working, recorder, P::REMAINDER, &mut stats)?;
                 }
+                engine.advance_traced(
+                    &mut working,
+                    &mut done,
+                    last_layer,
+                    recorder,
+                    P::REMAINDER,
+                    &mut stats,
+                )?;
+                sink(orig, measure(layered, &working, cur));
+                policy.recycle(working);
+                break;
+            }
+            let resident_bytes = policy.resident_bytes(&stack);
+            if recorder.enabled() {
+                recorder.heartbeat(Heartbeat { completed: 1, depth: d as u64, resident_bytes });
             }
         }
 
-        stats.peak_msv = if trials.is_empty() { 0 } else { peak };
+        stats.peak_msv = peak;
         if recorder.enabled() {
             record_stats_counters(recorder, &stats);
-            recorder.counter("pool.reused", pool.reuse_count());
-            recorder.counter("pool.allocated", pool.alloc_count());
-            recorder.span("run/reuse", span_start, recorder.now_ns());
+            policy.record(recorder);
+            recorder.span(P::SPAN, span_start, recorder.now_ns());
         }
         Ok(stats)
     }
@@ -1192,7 +1168,14 @@ mod tests {
         assert!(has_injection, "workload too clean to exercise the check");
         let result = BaselineExecutor::new(&layered).run_with_program(&program, set.trials());
         assert!(matches!(result, Err(SimError::Circuit(_))));
-        let result = ReuseExecutor::new(&layered).run_with_program(&program, set.trials());
+        let result = ReuseExecutor::new(&layered).run_streaming(
+            &program,
+            set.trials(),
+            usize::MAX,
+            PrefixCache::Off,
+            |_, _| {},
+            &NullRecorder,
+        );
         assert!(matches!(result, Err(SimError::Circuit(_))));
     }
 
@@ -1218,12 +1201,19 @@ mod tests {
         let mut histogram = crate::Histogram::new(layered.n_cbits());
         let mut seen = vec![false; set.len()];
         let stats = ReuseExecutor::new(&layered)
-            .run_streaming(set.trials(), usize::MAX, |index, outcome| {
-                assert!(!seen[index], "outcome delivered twice for trial {index}");
-                seen[index] = true;
-                assert_eq!(outcome, collected.outcomes[index]);
-                histogram.record(&outcome);
-            })
+            .run_streaming(
+                &fuse_for_trials(&layered, set.trials()),
+                set.trials(),
+                usize::MAX,
+                PrefixCache::Off,
+                |index, outcome| {
+                    assert!(!seen[index], "outcome delivered twice for trial {index}");
+                    seen[index] = true;
+                    assert_eq!(outcome, collected.outcomes[index]);
+                    histogram.record(&outcome);
+                },
+                &NullRecorder,
+            )
             .unwrap();
         assert!(seen.iter().all(|&s| s), "some trial never produced an outcome");
         assert_eq!(stats, collected.stats);

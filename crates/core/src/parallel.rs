@@ -31,7 +31,10 @@ use qsim_noise::Trial;
 use qsim_statevec::MeasureOutcome;
 use qsim_telemetry::{NullRecorder, Recorder};
 
-use crate::exec::{fuse_for_trials_traced, BaselineExecutor, ExecStats, ReuseExecutor, RunResult};
+use crate::exec::{
+    fuse_for_trials_traced, BaselineExecutor, ExecStats, Outcomes, PrefixCache, ReuseExecutor,
+    RunResult,
+};
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
 
@@ -214,24 +217,19 @@ pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
                 let idx_chunk = &order[start..end];
                 let program = &program;
                 scope.spawn(move || -> ChunkResult {
-                    // The chunk is already sorted; ReuseExecutor re-sorts
-                    // internally (stable, already-ordered input = no-op
-                    // permutation) and returns outcomes in chunk order.
+                    // The chunk is already sorted; the walk re-sorts it
+                    // (stable, already-ordered input = no-op permutation).
                     let chunk_trials: Vec<Trial> =
                         idx_chunk.iter().map(|&i| trials[i].clone()).collect();
-                    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; chunk_trials.len()];
-                    let stats = ReuseExecutor::new(layered).run_streaming_with_traced(
+                    let mut pairs = Vec::with_capacity(chunk_trials.len());
+                    let stats = ReuseExecutor::new(layered).run_streaming(
                         program,
                         &chunk_trials,
                         usize::MAX,
-                        |index, outcome| outcomes[index] = Some(outcome),
+                        PrefixCache::Off,
+                        |index, outcome| pairs.push((idx_chunk[index], outcome)),
                         recorder,
                     )?;
-                    let pairs = idx_chunk
-                        .iter()
-                        .copied()
-                        .zip(outcomes.into_iter().map(|o| o.expect("every trial executed")))
-                        .collect();
                     Ok((pairs, stats))
                 })
             })
@@ -239,12 +237,12 @@ pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
 
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
+    let mut outcomes = Outcomes::new(trials.len());
     let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
     for result in results {
         let (pairs, part_stats) = result?;
         for (index, outcome) in pairs {
-            outcomes[index] = Some(outcome);
+            outcomes.put(index, outcome);
         }
         stats.ops += part_stats.ops;
         stats.fused_ops += part_stats.fused_ops;
@@ -255,10 +253,7 @@ pub fn run_reordered_parallel_traced<R: Recorder + ?Sized>(
     if recorder.enabled() {
         recorder.span("run/parallel-reuse", span_start, recorder.now_ns());
     }
-    Ok(RunResult {
-        outcomes: outcomes.into_iter().map(|o| o.expect("every trial executed")).collect(),
-        stats,
-    })
+    Ok(outcomes.into_result(stats))
 }
 
 #[cfg(test)]

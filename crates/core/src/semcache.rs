@@ -14,18 +14,19 @@
 //!   computed (equal keys ⇒ identical kernel sequence ⇒ identical f64
 //!   results), so every downstream per-trial float operation — and thus
 //!   every measurement outcome — is unchanged. The skipped prefix work is
-//!   credited back into [`ExecStats`], so accounting is also identical.
+//!   credited back into [`ExecStats`](crate::ExecStats), so accounting is
+//!   also identical.
 //! * **Miss**: the run proceeds exactly as the uncached executor; the only
 //!   addition is one state clone when the root frontier first parks at
 //!   the publishable layer, after all telemetry for that advance fired.
 
 use qsim_circuit::LayeredCircuit;
 use qsim_noise::{NoiseModel, Trial};
-use qsim_statevec::{MeasureOutcome, StateVector};
+use qsim_statevec::StateVector;
 use qsim_telemetry::{names, Recorder};
 use redsim_msvstore::{MsvStore, SemanticKey, DEFAULT_SEED_POLICY};
 
-use crate::exec::{fuse_for_trials_traced, ExecStats, PrefixCache, ReuseExecutor, RunResult};
+use crate::exec::{fuse_for_trials_traced, Outcomes, PrefixCache, ReuseExecutor, RunResult};
 use crate::SimError;
 
 /// What the semantic prefix cache did for one run.
@@ -47,10 +48,10 @@ pub struct CacheOutcome {
     /// Entries evicted by the publish.
     pub evicted: u64,
     /// Source-gate work the hit skipped (still counted in
-    /// [`ExecStats::ops`]).
+    /// [`ExecStats::ops`](crate::ExecStats::ops)).
     pub credited_ops: u64,
     /// Amplitude-pass work the hit skipped (still counted in
-    /// [`ExecStats::amplitude_passes`]).
+    /// [`ExecStats::amplitude_passes`](crate::ExecStats::amplitude_passes)).
     pub credited_passes: u64,
 }
 
@@ -68,10 +69,10 @@ pub fn cacheable_prefix_layer(trials: &[Trial], n_layers: usize) -> usize {
 }
 
 /// Reordered execution through the persistent prefix store: consult before
-/// computing, publish after a miss. Outcomes and [`ExecStats`] are bitwise
-/// identical to [`ReuseExecutor::run`] on both paths. Store I/O is
-/// best-effort — an unwritable store degrades to an unpublished run, never
-/// a failed one.
+/// computing, publish after a miss. Outcomes and
+/// [`ExecStats`](crate::ExecStats) are bitwise identical to
+/// [`ReuseExecutor::run`] on both paths. Store I/O is best-effort — an
+/// unwritable store degrades to an unpublished run, never a failed one.
 ///
 /// # Errors
 ///
@@ -102,9 +103,8 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
         recorder.counter(names::MSVSTORE_PREFIX_LAYER, prefix_layer as u64);
     }
 
-    let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-    let stats: ExecStats;
-    match restored {
+    let mut captured: Option<StateVector> = None;
+    let prefix = match restored {
         Some((state, bytes_read)) => {
             outcome.hit = true;
             outcome.bytes_read = bytes_read;
@@ -116,61 +116,39 @@ pub fn run_reordered_cached_traced<R: Recorder + ?Sized>(
                 recorder.counter(names::MSVSTORE_CREDITED_OPS, credit_ops);
                 recorder.counter(names::MSVSTORE_CREDITED_PASSES, credit_passes);
             }
-            stats = executor.run_streaming_prefix_traced(
-                &program,
-                trials,
-                usize::MAX,
-                PrefixCache::Seed {
-                    layer: prefix_layer,
-                    state,
-                    ops: credit_ops,
-                    passes: credit_passes,
-                },
-                |index, out| {
-                    outcomes[index] = Some(out);
-                },
-                recorder,
-            )?;
+            PrefixCache::Seed { layer: prefix_layer, state, ops: credit_ops, passes: credit_passes }
         }
         None => {
             if recorder.enabled() {
                 recorder.counter(names::MSVSTORE_MISS, 1);
             }
-            let mut captured: Option<StateVector> = None;
-            stats = executor.run_streaming_prefix_traced(
-                &program,
-                trials,
-                usize::MAX,
-                PrefixCache::Capture { layer: prefix_layer, out: &mut captured },
-                |index, out| {
-                    outcomes[index] = Some(out);
-                },
-                recorder,
-            )?;
-            if let Some(state) = captured {
-                if let Ok(put) = store.put(&key, state.amplitudes()) {
-                    outcome.stored = put.stored;
-                    outcome.bytes_written = put.bytes_written;
-                    outcome.evicted = put.evicted;
-                    if recorder.enabled() && put.stored {
-                        recorder.counter(names::MSVSTORE_STORE, 1);
-                        recorder.counter(names::MSVSTORE_BYTES_WRITTEN, put.bytes_written);
-                        if put.evicted > 0 {
-                            recorder.counter(names::MSVSTORE_EVICT, put.evicted);
-                        }
-                    }
+            PrefixCache::Capture { layer: prefix_layer, out: &mut captured }
+        }
+    };
+    let mut outcomes = Outcomes::new(trials.len());
+    let stats = executor.run_streaming(
+        &program,
+        trials,
+        usize::MAX,
+        prefix,
+        |index, out| outcomes.put(index, out),
+        recorder,
+    )?;
+    if let Some(state) = captured {
+        if let Ok(put) = store.put(&key, state.amplitudes()) {
+            outcome.stored = put.stored;
+            outcome.bytes_written = put.bytes_written;
+            outcome.evicted = put.evicted;
+            if recorder.enabled() && put.stored {
+                recorder.counter(names::MSVSTORE_STORE, 1);
+                recorder.counter(names::MSVSTORE_BYTES_WRITTEN, put.bytes_written);
+                if put.evicted > 0 {
+                    recorder.counter(names::MSVSTORE_EVICT, put.evicted);
                 }
             }
         }
     }
-    let result = RunResult {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every trial produced an outcome"))
-            .collect(),
-        stats,
-    };
-    Ok((result, outcome))
+    Ok((outcomes.into_result(stats), outcome))
 }
 
 #[cfg(test)]

@@ -348,33 +348,7 @@ impl Simulation {
         &self,
         recorder: &R,
     ) -> Result<(RunResult, qsim_analyzer::StrategyPrediction), SimError> {
-        use qsim_analyzer::Strategy;
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        let chosen = self.advise_choice(trials, recorder);
-        let result = match chosen.strategy {
-            Strategy::Sequential => {
-                BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?
-            }
-            Strategy::Fused => {
-                BaselineExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Reuse => {
-                ReuseExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Compressed => {
-                crate::compressed::run_reordered_compressed_traced(
-                    &self.layered,
-                    trials.trials(),
-                    recorder,
-                )?
-                .0
-            }
-            Strategy::Tree => crate::tree::TreeExecutor::new(&self.layered)
-                .run_traced(trials.trials(), recorder)?,
-            Strategy::FrameTracking => {
-                unreachable!("best_executable never returns a frame-tracking prediction")
-            }
-        };
+        let (result, chosen, _) = self.run_advised_with(None, recorder)?;
         Ok((result, chosen))
     }
 
@@ -395,60 +369,26 @@ impl Simulation {
         (RunResult, qsim_analyzer::StrategyPrediction, Option<crate::semcache::CacheOutcome>),
         SimError,
     > {
-        use qsim_analyzer::Strategy;
-        let trials = self.trials.as_ref().ok_or(SimError::NoTrials)?;
-        let chosen = self.advise_choice(trials, recorder);
-        if chosen.strategy == Strategy::Reuse {
-            let (result, cache) = crate::semcache::run_reordered_cached_traced(
-                &self.layered,
-                &self.model,
-                trials.trials(),
-                store,
-                recorder,
-            )?;
-            return Ok((result, chosen, Some(cache)));
-        }
-        let result = match chosen.strategy {
-            Strategy::Sequential => {
-                BaselineExecutor::new(&self.layered).run_unfused(trials.trials())?
-            }
-            Strategy::Fused => {
-                BaselineExecutor::new(&self.layered).run_traced(trials.trials(), recorder)?
-            }
-            Strategy::Compressed => {
-                crate::compressed::run_reordered_compressed_traced(
-                    &self.layered,
-                    trials.trials(),
-                    recorder,
-                )?
-                .0
-            }
-            Strategy::Tree => crate::tree::TreeExecutor::new(&self.layered)
-                .run_traced(trials.trials(), recorder)?,
-            Strategy::Reuse | Strategy::FrameTracking => {
-                unreachable!("reuse handled above; frame-tracking is never executable")
-            }
-        };
-        Ok((result, chosen, None))
+        self.run_advised_with(Some(store), recorder)
     }
 
     /// Compile the execution plan, record the advisor's verdict counters,
-    /// and return the winning executable prediction.
+    /// and run the winning executable strategy — through `store` when that
+    /// is reuse.
     #[cfg(feature = "advisor")]
-    fn advise_choice<R: qsim_telemetry::Recorder + ?Sized>(
+    fn run_advised_with<R: qsim_telemetry::Recorder + ?Sized>(
         &self,
-        trials: &TrialSet,
+        store: Option<&redsim_msvstore::MsvStore>,
         recorder: &R,
-    ) -> qsim_analyzer::StrategyPrediction {
+    ) -> Result<
+        (RunResult, qsim_analyzer::StrategyPrediction, Option<crate::semcache::CacheOutcome>),
+        SimError,
+    > {
         use qsim_analyzer::Strategy;
-        let plan = qsim_analyzer::ExecutionPlan::compile_traced(
-            &self.layered,
-            trials,
-            usize::MAX,
-            recorder,
-        );
-        let advice = qsim_analyzer::advise(&plan);
-        let chosen = *advice.best_executable();
+        let set = self.trials.as_ref().ok_or(SimError::NoTrials)?;
+        let (layered, trials) = (&self.layered, set.trials());
+        let plan = qsim_analyzer::ExecutionPlan::compile_traced(layered, set, usize::MAX, recorder);
+        let chosen = *qsim_analyzer::advise(&plan).best_executable();
         if recorder.enabled() {
             recorder.counter("advisor.predicted_passes", chosen.amplitude_passes);
             recorder.counter("advisor.predicted_ops", chosen.ops);
@@ -465,7 +405,31 @@ impl Simulation {
                 1,
             );
         }
-        chosen
+        let result = match (chosen.strategy, store) {
+            (Strategy::Reuse, Some(store)) => {
+                let (result, cache) = crate::semcache::run_reordered_cached_traced(
+                    layered,
+                    &self.model,
+                    trials,
+                    store,
+                    recorder,
+                )?;
+                return Ok((result, chosen, Some(cache)));
+            }
+            (Strategy::Reuse, None) => ReuseExecutor::new(layered).run_traced(trials, recorder)?,
+            (Strategy::Sequential, _) => BaselineExecutor::new(layered).run_unfused(trials)?,
+            (Strategy::Fused, _) => BaselineExecutor::new(layered).run_traced(trials, recorder)?,
+            (Strategy::Compressed, _) => {
+                crate::compressed::run_reordered_compressed_traced(layered, trials, recorder)?.0
+            }
+            (Strategy::Tree, _) => {
+                crate::tree::TreeExecutor::new(layered).run_traced(trials, recorder)?
+            }
+            (Strategy::FrameTracking, _) => {
+                unreachable!("best_executable never returns a frame-tracking prediction")
+            }
+        };
+        Ok((result, chosen, None))
     }
 
     /// Analytic first-order prediction of the savings for `n_trials`

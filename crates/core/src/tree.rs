@@ -25,12 +25,12 @@
 //! ## Exactness
 //!
 //! Outcomes are **bitwise identical** to every other strategy sharing the
-//! same [`FusedProgram`]: a trial's outcome is a pure function of its
-//! final state and private sampling seed, the final state is a pure
-//! function of the op sequence applied to it, and batching changes only
-//! *which state the process touches next* — never the per-state op
-//! sequence (the batched kernels repeat the scalar kernels' arithmetic
-//! verbatim). See THEORY.md §13 for the full argument.
+//! same [`qsim_circuit::FusedProgram`]: a trial's outcome is a pure
+//! function of its final state and private sampling seed, the final state
+//! is a pure function of the op sequence applied to it, and batching
+//! changes only *which state the process touches next* — never the
+//! per-state op sequence (the batched kernels repeat the scalar kernels'
+//! arithmetic verbatim). See THEORY.md §13 for the full argument.
 //!
 //! ## Accounting
 //!
@@ -48,14 +48,14 @@
 //! the number of **distinct injection lists** among the trials — the
 //! closed form the strategy advisor predicts.
 
-use qsim_circuit::{FusedProgram, LayeredCircuit};
+use qsim_circuit::LayeredCircuit;
 use qsim_noise::{Injection, Trial};
-use qsim_statevec::{MeasureOutcome, StatePool, StateVector};
+use qsim_statevec::{StatePool, StateVector};
 use qsim_telemetry::{Heartbeat, KernelClass, MsvEvent, NullRecorder, Recorder};
 
 use crate::exec::{
-    amp_bytes, fuse_for_trials, fuse_for_trials_traced, inject_traced, measure,
-    record_stats_counters, validate, validate_program, ExecStats, RunResult,
+    amp_bytes, fuse_for_trials_traced, inject_traced, measure, record_stats_counters, validate,
+    ExecStats, Outcomes, RunResult,
 };
 use crate::order::{compare_trials, lcp};
 use crate::SimError;
@@ -178,8 +178,7 @@ impl<'a> TreeExecutor<'a> {
     /// Returns [`SimError`] for trials whose injections do not fit the
     /// circuit.
     pub fn run(&self, trials: &[Trial]) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials(self.layered, trials);
-        self.run_with_program_traced(&program, trials, &NullRecorder)
+        self.run_traced(trials, &NullRecorder)
     }
 
     /// [`TreeExecutor::run`] with instrumentation streamed into
@@ -199,87 +198,21 @@ impl<'a> TreeExecutor<'a> {
         trials: &[Trial],
         recorder: &R,
     ) -> Result<RunResult, SimError> {
-        let program = fuse_for_trials_traced(self.layered, trials, recorder);
-        self.run_with_program_traced(&program, trials, recorder)
-    }
-
-    /// Like [`TreeExecutor::run`], but through an externally compiled
-    /// program (shared fusion across runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run`], plus cut-alignment failures when
-    /// `program` was not compiled for these trials.
-    pub fn run_with_program(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-    ) -> Result<RunResult, SimError> {
-        self.run_with_program_traced(program, trials, &NullRecorder)
-    }
-
-    /// [`TreeExecutor::run_with_program`] with instrumentation (see
-    /// [`TreeExecutor::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run_with_program`].
-    pub fn run_with_program_traced<R: Recorder + ?Sized>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        recorder: &R,
-    ) -> Result<RunResult, SimError> {
-        let mut outcomes: Vec<Option<MeasureOutcome>> = vec![None; trials.len()];
-        let stats = self.run_streaming_with_traced(
-            program,
-            trials,
-            |index, outcome| {
-                outcomes[index] = Some(outcome);
-            },
-            recorder,
-        )?;
-        Ok(RunResult {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every trial produced an outcome"))
-                .collect(),
-            stats,
-        })
-    }
-
-    /// Streaming execution: outcomes are handed to
-    /// `sink(original_trial_index, outcome)` as the frontier walk measures
-    /// them (terminal order, not input order).
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeExecutor::run_with_program`].
-    pub fn run_streaming_with_traced<F, R>(
-        &self,
-        program: &FusedProgram,
-        trials: &[Trial],
-        mut sink: F,
-        recorder: &R,
-    ) -> Result<ExecStats, SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
         let layered = self.layered;
         let n_layers = layered.n_layers();
         for trial in trials {
             validate(trial, n_layers)?;
         }
-        validate_program(program, layered, trials)?;
         #[cfg(feature = "paranoid")]
         crate::exec::paranoid_verify(layered, trials, usize::MAX)?;
+        let program = fuse_for_trials_traced(layered, trials, recorder);
         let span_start = recorder.now_ns();
         let last_layer = n_layers as i64 - 1;
         let mut order: Vec<usize> = (0..trials.len()).collect();
         order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
 
         let mut stats = ExecStats { n_trials: trials.len(), ..ExecStats::default() };
+        let mut outcomes = Outcomes::new(trials.len());
         let nodes = build_trie(trials, &order, last_layer);
         let mut pool = StatePool::new();
         // The frontier peaks at one state per distinct injection list, so
@@ -309,7 +242,7 @@ impl<'a> TreeExecutor<'a> {
                 &mut pool,
                 &mut stats,
                 &mut peak,
-                &mut sink,
+                &mut outcomes,
                 recorder,
             )?;
         } else {
@@ -360,7 +293,7 @@ impl<'a> TreeExecutor<'a> {
                     &mut pool,
                     &mut stats,
                     &mut peak,
-                    &mut sink,
+                    &mut outcomes,
                     recorder,
                 )?;
             }
@@ -376,7 +309,7 @@ impl<'a> TreeExecutor<'a> {
             recorder.counter("pool.allocated", pool.alloc_count());
             recorder.span("run/tree", span_start, recorder.now_ns());
         }
-        Ok(stats)
+        Ok(outcomes.into_result(stats))
     }
 
     /// Process one cut-point after the frontier crossed `boundary`:
@@ -388,7 +321,7 @@ impl<'a> TreeExecutor<'a> {
     /// place, no clone) — the handoff that makes single-child chains as
     /// cheap as the reuse executor's remainder walk.
     #[allow(clippy::too_many_arguments)]
-    fn process_boundary<F, R>(
+    fn process_boundary<R: Recorder + ?Sized>(
         &self,
         nodes: &[TreeNode],
         trials: &[Trial],
@@ -399,13 +332,9 @@ impl<'a> TreeExecutor<'a> {
         pool: &mut StatePool,
         stats: &mut ExecStats,
         peak: &mut usize,
-        sink: &mut F,
+        outcomes: &mut Outcomes,
         recorder: &R,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(usize, MeasureOutcome),
-        R: Recorder + ?Sized,
-    {
+    ) -> Result<(), SimError> {
         let layered = self.layered;
         let last_layer = layered.n_layers() as i64 - 1;
 
@@ -430,13 +359,11 @@ impl<'a> TreeExecutor<'a> {
                 }
                 let parent = meta[i].node;
                 let pnode = &nodes[parent as usize];
-                stats.ops += 1;
-                stats.amplitude_passes += 1;
                 if cnode.next_sibling == NONE && pnode.term_len == 0 {
                     // Steal: the parent's last event is this fork and no
                     // terminal will read it again — hand its buffer to
                     // the child and perturb in place.
-                    inject_traced(&edge, &mut states[i], recorder, "tree/branch")?;
+                    inject_traced(&edge, &mut states[i], recorder, "tree/branch", stats)?;
                     meta[i] = LiveMeta { node: child, next_child: cnode.first_child };
                     if recorder.enabled() {
                         recorder.msv(MsvEvent::Fork, cnode.depth as usize, meta.len());
@@ -447,7 +374,7 @@ impl<'a> TreeExecutor<'a> {
                 } else {
                     meta[i].next_child = cnode.next_sibling;
                     let mut state = pool.clone_state(&states[i]);
-                    inject_traced(&edge, &mut state, recorder, "tree/branch")?;
+                    inject_traced(&edge, &mut state, recorder, "tree/branch", stats)?;
                     meta.push(LiveMeta { node: child, next_child: cnode.first_child });
                     states.push(state);
                     *peak = (*peak).max(meta.len());
@@ -466,7 +393,7 @@ impl<'a> TreeExecutor<'a> {
                 let node = &nodes[m.node as usize];
                 for pos in node.term_start..node.term_start + node.term_len {
                     let orig = order[pos as usize];
-                    sink(orig, measure(layered, &states[entry], &trials[orig]));
+                    outcomes.put(orig, measure(layered, &states[entry], &trials[orig]));
                     if recorder.enabled() {
                         recorder.heartbeat(Heartbeat {
                             completed: 1,
@@ -580,54 +507,6 @@ mod tests {
         // 3 distinct injection lists: two clones plus the root's buffer
         // stolen by its final child.
         assert_eq!(tree.stats.peak_msv, 3);
-    }
-
-    #[test]
-    #[ignore = "manual profiling probe: cargo test --release -p redsim profile_probe -- --ignored --nocapture"]
-    fn profile_probe() {
-        use std::time::Instant;
-        for (name, layered) in crate::testkit::yorktown_suite() {
-            if name != "qv_n5d5" && name != "rb" && name != "grover" {
-                continue;
-            }
-            let model = qsim_noise::NoiseModel::ibm_yorktown();
-            let set = qsim_noise::TrialGenerator::new(&layered, &model)
-                .expect("model fits")
-                .generate(64, 2020);
-            let trials = set.trials();
-            let reps = 400;
-            let time = |f: &mut dyn FnMut()| {
-                let start = Instant::now();
-                for _ in 0..reps {
-                    f();
-                }
-                start.elapsed().as_secs_f64() * 1e6 / reps as f64
-            };
-            let reuse_us = time(&mut || {
-                ReuseExecutor::new(&layered).run(trials).unwrap();
-            });
-            let tree_us = time(&mut || {
-                TreeExecutor::new(&layered).run(trials).unwrap();
-            });
-            let fuse_us = time(&mut || {
-                std::hint::black_box(crate::exec::fuse_for_trials(&layered, trials));
-            });
-            let sort_trie_us = time(&mut || {
-                let mut order: Vec<usize> = (0..trials.len()).collect();
-                order.sort_by(|&a, &b| compare_trials(&trials[a], &trials[b]));
-                std::hint::black_box(build_trie(trials, &order, layered.n_layers() as i64 - 1));
-            });
-            let state = StateVector::zero_state(layered.n_qubits());
-            let measure_us = time(&mut || {
-                for trial in trials {
-                    std::hint::black_box(measure(&layered, &state, trial));
-                }
-            });
-            println!(
-                "{name}: reuse {reuse_us:.1}us tree {tree_us:.1}us | fuse {fuse_us:.1}us \
-                 sort+trie {sort_trie_us:.1}us measure {measure_us:.1}us"
-            );
-        }
     }
 
     #[test]
